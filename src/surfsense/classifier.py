@@ -27,6 +27,8 @@ STEM_FILTERS = 8
 BLOCK_WIDTHS = (16, 32, 64)
 CHECKPOINT_MAGIC = b"SSCK"
 CHECKPOINT_VERSION = 1
+# Records per forward pass when predicting over a record list.
+PREDICT_CHUNK = 64
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,7 +88,6 @@ class TrainConfig:
     policy: AugmentPolicy = AugmentPolicy()
     input_side: Optional[int] = None
     standardize: bool = False
-    parallel_trunks: bool = False
 
     def __post_init__(self) -> None:
         if self.lr0 < 0 or self.batch < 1 or self.epochs < 1:
@@ -262,7 +263,7 @@ def pointwise_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
     return dx, dw, db
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -331,12 +332,6 @@ def head_logits_batch(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, n
     return _head_logits(params, feat)
 
 
-def forward_batch(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Softmax distributions for a (N, 3, H, W) batch."""
-    logits_o, logits_m = head_logits_batch(params, x)
-    return _softmax(logits_o), _softmax(logits_m)
-
-
 def image_to_input(img: Image) -> np.ndarray:
     if img.channels != 3:
         raise ValueError("classifier input must be 3-channel")
@@ -345,13 +340,38 @@ def image_to_input(img: Image) -> np.ndarray:
 
 def forward(params: ModelParams, img: Image) -> PredictionPair:
     """Single-image inference; deterministic, simplex outputs."""
-    p_o, p_m = forward_batch(params, image_to_input(img))
+    logits_o, logits_m = head_logits_batch(params, image_to_input(img))
     return PredictionPair(
-        p_object=p_o[0],
-        p_material=p_m[0],
+        p_object=softmax(logits_o)[0],
+        p_material=softmax(logits_m)[0],
         object_classes=params.object_classes,
         material_classes=params.material_classes,
     )
+
+
+def predict_logits(params: ModelParams, records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """Both heads' raw logits over a list of records (anything with an
+    ``image``), one forward pass per ``PREDICT_CHUNK`` records."""
+    logits_o = np.empty((len(records), len(params.object_classes)), dtype=params.dtype)
+    logits_m = np.empty((len(records), len(params.material_classes)), dtype=params.dtype)
+    for start in range(0, len(records), PREDICT_CHUNK):
+        chunk = records[start : start + PREDICT_CHUNK]
+        x = np.stack([r.image.pixels.transpose(2, 0, 1) for r in chunk])
+        rows = slice(start, start + len(chunk))
+        logits_o[rows], logits_m[rows] = head_logits_batch(params, x)
+    return logits_o, logits_m
+
+
+def top1(classes: Tuple[int, ...], logits: np.ndarray) -> np.ndarray:
+    """Taxonomy index of each row's largest logit (ties: the lowest unit)."""
+    return np.array(classes, dtype=int)[np.argmax(logits, axis=1)]
+
+
+def _joint_ce(p_o: np.ndarray, p_m: np.ndarray, uo: np.ndarray, um: np.ndarray) -> np.ndarray:
+    """Per-sample CE_object + CE_material; probabilities floored at ``tiny``."""
+    rows = np.arange(len(uo))
+    eps = np.finfo(p_o.dtype).tiny
+    return -np.log(np.maximum(p_o[rows, uo], eps)) - np.log(np.maximum(p_m[rows, um], eps))
 
 
 def _unit_index(classes: Tuple[int, ...], labels: np.ndarray) -> np.ndarray:
@@ -370,15 +390,12 @@ def _loss_grad(
     t = params.tensors
     feat, cache = _forward_trunk(params, x.astype(params.dtype, copy=False), want_cache=True)
     logits_o, logits_m = _head_logits(params, feat)
-    p_o = _softmax(logits_o)
-    p_m = _softmax(logits_m)
+    p_o = softmax(logits_o)
+    p_m = softmax(logits_m)
 
     uo = _unit_index(params.object_classes, y_obj)
     um = _unit_index(params.material_classes, y_mat)
-    eps = np.finfo(p_o.dtype).tiny
-    ce_o = -np.log(np.maximum(p_o[np.arange(n), uo], eps))
-    ce_m = -np.log(np.maximum(p_m[np.arange(n), um], eps))
-    per_sample = ce_o + ce_m
+    per_sample = _joint_ce(p_o, p_m, uo, um)
     loss = float(per_sample.mean())
 
     grads: Dict[str, np.ndarray] = {}
@@ -443,18 +460,12 @@ def relu_kink_margin(params: ModelParams, x: np.ndarray) -> float:
     return float(cache["relu_margin"])
 
 
-def per_sample_losses(
-    params: ModelParams, x: np.ndarray, y_obj: np.ndarray, y_mat: np.ndarray
-) -> np.ndarray:
-    """Forward-only joint CE per sample (used for replay bookkeeping)."""
-    p_o, p_m = forward_batch(params, x)
-    n = x.shape[0]
-    uo = _unit_index(params.object_classes, np.asarray(y_obj))
-    um = _unit_index(params.material_classes, np.asarray(y_mat))
-    eps = np.finfo(p_o.dtype).tiny
-    return -np.log(np.maximum(p_o[np.arange(n), uo], eps)) - np.log(
-        np.maximum(p_m[np.arange(n), um], eps)
-    )
+def per_sample_losses(params: ModelParams, records: Sequence) -> np.ndarray:
+    """Forward-only joint CE per record (used for replay bookkeeping)."""
+    logits_o, logits_m = predict_logits(params, records)
+    uo = _unit_index(params.object_classes, [r.object for r in records])
+    um = _unit_index(params.material_classes, [r.material for r in records])
+    return _joint_ce(softmax(logits_o), softmax(logits_m), uo, um)
 
 
 # --- optimizer and training loop -------------------------------------------
@@ -520,7 +531,7 @@ def batch_tensors(
     for pos, rec in enumerate(records):
         aug_seed = np.random.SeedSequence(seed_key + (pos,))
         xs.append(_prepare_image(rec.image, cfg, aug_seed))
-    return np.stack(xs).astype(np.float64), y_obj, y_mat
+    return np.stack(xs), y_obj, y_mat
 
 
 def train(
@@ -587,27 +598,11 @@ def train(
     return result
 
 
-def predict_records(
-    params: ModelParams, records: Sequence, batch: int = 64, input_side: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-1 taxonomy indices for both heads over a record list."""
-    pred_o = np.zeros(len(records), dtype=int)
-    pred_m = np.zeros(len(records), dtype=int)
-    oc = np.array(params.object_classes)
-    mc = np.array(params.material_classes)
-    for start in range(0, len(records), batch):
-        chunk = records[start : start + batch]
-        xs = []
-        for rec in chunk:
-            img = rec.image
-            if input_side is not None and (img.width != input_side or img.height != input_side):
-                img = center_crop_resize(img, input_side)
-            xs.append(img.pixels.transpose(2, 0, 1))
-        x = np.stack(xs).astype(np.float64)
-        p_o, p_m = forward_batch(params, x)
-        pred_o[start : start + len(chunk)] = oc[np.argmax(p_o, axis=1)]
-        pred_m[start : start + len(chunk)] = mc[np.argmax(p_m, axis=1)]
-    return pred_o, pred_m
+def predict_records(params: ModelParams, records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """Top-1 taxonomy indices for both heads over a record list: the
+    argmax of each head's logits from :func:`predict_logits`."""
+    logits_o, logits_m = predict_logits(params, records)
+    return top1(params.object_classes, logits_o), top1(params.material_classes, logits_m)
 
 
 # --- head growth for deployment-time classes --------------------------------
@@ -697,35 +692,3 @@ def load_checkpoint(path, dtype=np.float32) -> ModelParams:
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
     return ModelParams(tensors, tuple(maps[0]), tuple(maps[1]))
 
-
-# --- optional fully separate trunks ------------------------------------------
-
-
-@dataclass
-class ParallelParams:
-    """Two single-task networks sharing nothing (fidelity mode)."""
-
-    object_net: ModelParams
-    material_net: ModelParams
-
-
-def forward_parallel(pp: ParallelParams, img: Image) -> PredictionPair:
-    po = forward(pp.object_net, img)
-    pm = forward(pp.material_net, img)
-    return PredictionPair(
-        p_object=po.p_object,
-        p_material=pm.p_material,
-        object_classes=pp.object_net.object_classes,
-        material_classes=pp.material_net.material_classes,
-    )
-
-
-def train_parallel(
-    pp: ParallelParams, train_records: Sequence, cfg: TrainConfig
-) -> ParallelParams:
-    """Train each trunk on its own task only (labels of the other head
-    are still passed through so the joint loss drives a single head by
-    zeroing the other's learning signal via identical labels)."""
-    obj = train(pp.object_net, train_records, cfg).params
-    mat = train(pp.material_net, train_records, cfg).params
-    return ParallelParams(obj, mat)

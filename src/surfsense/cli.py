@@ -1,7 +1,10 @@
 """Command-line entry point wiring the pipeline into reproducible runs.
 
-Every command reads a flat ``key=value`` config file, copies it into the
-output directory, and writes all artifacts there.  Unknown config keys
+Every command but ``validate`` reads a flat ``key=value`` config file
+and writes all artifacts into its ``out_dir``, together with a copy of
+the config as ``config.txt``.  ``report`` is the exception: it writes
+only ``report.txt``, because its ``out_dir`` is usually the run it
+summarizes, whose config must stay intact.  Unknown config keys
 are rejected; every random choice flows from explicit seeds in the
 config, so re-running a command from its config reproduces its outputs
 byte for byte.  On failure, partially written outputs are removed.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import shutil
+from dataclasses import fields
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -76,7 +80,6 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "augment": (_parse_bool, True),
     "standardize": (_parse_bool, False),
     "input_side": (int, 0),  # 0 = native
-    "parallel_trunks": (_parse_bool, False),
     "checkpoint": (str, ""),
     # evaluation
     "split_kind": (str, "time_kfold"),
@@ -153,7 +156,6 @@ def _train_config(cfg: Dict[str, object]) -> TrainConfig:
         augment=bool(cfg["augment"]),
         standardize=bool(cfg["standardize"]),
         input_side=int(cfg["input_side"]) or None,
-        parallel_trunks=bool(cfg["parallel_trunks"]),
     )
 
 
@@ -173,13 +175,7 @@ def _cl_config(cfg: Dict[str, object]) -> CLConfig:
     elif names in ("none", ""):
         tricks = CLTricks()
     else:
-        valid = {
-            "independent_buffer_augmentation",
-            "bias_control",
-            "exp_lr_decay",
-            "balanced_sampling",
-            "loss_aware_sampling",
-        }
+        valid = {f.name for f in fields(CLTricks)}
         chosen = {n.strip() for n in names.split(",")}
         unknown = chosen - valid
         if unknown:
@@ -207,15 +203,10 @@ def _parse_absences(raw: str) -> frozenset:
     return frozenset(cells)
 
 
-def _copy_config(config_path: Path, out: OutputDir) -> None:
-    shutil.copyfile(config_path, out.path("config.txt"))
-
-
 # --- commands ----------------------------------------------------------------
 
 
-def cmd_simulate_trigger(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
-    _copy_config(config_path, out)
+def cmd_simulate_trigger(cfg: Dict[str, object], out: OutputDir) -> int:
     tcfg = _trigger_config(cfg)
     trace_path = str(cfg["trace"])
     if trace_path:
@@ -232,8 +223,7 @@ def cmd_simulate_trigger(cfg: Dict[str, object], config_path: Path, out: OutputD
     return 0
 
 
-def cmd_assess_quality(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
-    _copy_config(config_path, out)
+def cmd_assess_quality(cfg: Dict[str, object], out: OutputDir) -> int:
     target = Path(str(_require(cfg, "images")))
     paths = (
         sorted(p for p in target.rglob("*") if p.suffix.lower() in (".ppm", ".pgm"))
@@ -258,8 +248,7 @@ def cmd_assess_quality(cfg: Dict[str, object], config_path: Path, out: OutputDir
     return 0
 
 
-def cmd_gen_corpus(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
-    _copy_config(config_path, out)
+def cmd_gen_corpus(cfg: Dict[str, object], out: OutputDir) -> int:
     spec = synth.SynthSpec(
         rng_seed=int(cfg["seed"]),
         images_per_class=int(cfg["images_per_class"]),
@@ -279,27 +268,15 @@ def _load_corpus(cfg: Dict[str, object]) -> corpus_mod.Corpus:
     return corpus_mod.read_manifest(manifest, manifest.parent)
 
 
-def cmd_train(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
-    _copy_config(config_path, out)
+def cmd_train(cfg: Dict[str, object], out: OutputDir) -> int:
     data = _load_corpus(cfg)
     tcfg = _train_config(cfg)
-
-    def fresh(seed: int) -> classifier.ModelParams:
-        return classifier.init_params(
-            seed=seed,
-            n_objects=data.taxonomy.n_objects,
-            n_materials=data.taxonomy.n_materials,
-        )
-
-    if tcfg.parallel_trunks:
-        pp = classifier.ParallelParams(fresh(tcfg.seed), fresh(tcfg.seed + 1))
-        trained = classifier.train_parallel(pp, data.records, tcfg)
-        classifier.save_checkpoint(trained.object_net, out.path("checkpoint_object.bin"))
-        classifier.save_checkpoint(trained.material_net, out.path("checkpoint_material.bin"))
-        print(f"trained two parallel trunks on {len(data)} records")
-        return 0
-
-    result = classifier.train(fresh(tcfg.seed), data.records, tcfg)
+    params = classifier.init_params(
+        seed=tcfg.seed,
+        n_objects=data.taxonomy.n_objects,
+        n_materials=data.taxonomy.n_materials,
+    )
+    result = classifier.train(params, data.records, tcfg)
     classifier.save_checkpoint(result.params, out.path("checkpoint.bin"))
     with open(out.path("training.csv"), "w", encoding="utf-8") as fp:
         fp.write("epoch,loss\n")
@@ -310,11 +287,10 @@ def cmd_train(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
-    _copy_config(config_path, out)
+def cmd_evaluate(cfg: Dict[str, object], out: OutputDir) -> int:
     data = _load_corpus(cfg)
     kind = str(cfg["split_kind"])
-    plan = corpus_mod.make_split(data, kind, int(cfg["k"]), int(cfg["seed"]))
+    plan = corpus_mod.make_split(data, kind, int(cfg["k"]))
     result = harness.run_protocol(data, plan, _train_config(cfg))
     tax = data.taxonomy
     harness.write_confusion_csv(
@@ -365,8 +341,7 @@ def _read_task_stream(path: Path) -> List[Task]:
     return tasks
 
 
-def cmd_cl_run(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
-    _copy_config(config_path, out)
+def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
     params = classifier.load_checkpoint(Path(str(_require(cfg, "checkpoint"))))
     tasks = _read_task_stream(Path(str(_require(cfg, "task_stream"))))
     clcfg = _cl_config(cfg)
@@ -397,9 +372,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_report(cfg: Dict[str, object], config_path: Path, out: OutputDir) -> int:
+def cmd_report(cfg: Dict[str, object], out: OutputDir) -> int:
     root = out.root
-    _copy_config(config_path, out)
     lines = ["run artifacts:"]
     for p in sorted(root.rglob("*")):
         if p.is_file() and p.name != "report.txt":
@@ -457,7 +431,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     out: Optional[OutputDir] = None
     try:
         out = OutputDir(Path(str(_require(cfg, "out_dir"))))
-        return CONFIG_COMMANDS[args.command](cfg, args.config, out)
+        if args.command != "report":
+            shutil.copyfile(args.config, out.path("config.txt"))
+        return CONFIG_COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         if out is not None:
             out.cleanup()

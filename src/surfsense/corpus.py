@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,19 +43,6 @@ class Corpus:
 
     def persons(self) -> List[int]:
         return sorted({r.person_id for r in self.records})
-
-    def presence(self) -> Dict[Tuple[int, int], bool]:
-        """(person, material) cells with at least one record."""
-        cells: Dict[Tuple[int, int], bool] = {}
-        for r in self.records:
-            cells[(r.person_id, r.material)] = True
-        return cells
-
-    def material_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for r in self.records:
-            counts[r.material] = counts.get(r.material, 0) + 1
-        return counts
 
 
 @dataclass
@@ -152,14 +139,13 @@ def frame_sample(frames: Sequence[Tuple[float, Image]], rate: float) -> List[Ima
     return kept
 
 
-def make_split(
-    corpus: Corpus, kind: str, k: Optional[int] = None, rng_seed: int = 0
-) -> SplitPlan:
+def make_split(corpus: Corpus, kind: str, k: Optional[int] = None) -> SplitPlan:
     """Build a time-contiguous k-fold plan or a leave-one-person-out plan.
 
-    Time folds are ordered by record timestamp (ties broken by record
-    index), so ingestion order never changes the plan.  ``rng_seed`` is
-    accepted for interface symmetry; both plans are deterministic.
+    Both plans are deterministic, with no random choice.  Time folds are
+    ``k`` contiguous blocks of the records ordered by timestamp (ties
+    broken by record index), so ingestion order never changes the plan;
+    leave-one-person-out has one fold per person, in ascending person id.
     """
     n = len(corpus.records)
     if n == 0:
@@ -238,23 +224,50 @@ def read_manifest(
     taxonomy: Optional[LabelTaxonomy] = None,
     mapping: Optional[MappingTable] = None,
 ) -> Corpus:
+    """Load the corpus a manifest lists; image paths are relative to ``root``.
+
+    A line with the wrong field count, a non-numeric person, a timestamp
+    that is not a finite number, an unknown class slug, or a pair the
+    mapping table forbids raises ``ValueError`` naming ``manifest:line``.
+    """
     mapping = mapping if mapping is not None else DEFAULT_MAPPING
     taxonomy = taxonomy if taxonomy is not None else mapping.taxonomy
     root = Path(root)
     records: List[SampleRecord] = []
     with open(manifest_path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fp, start=1):
+            fields = line.split()
+            if not fields:
                 continue
-            person, obj, mat, rel, t = line.split()
+            where = f"{manifest_path}:{lineno}"
+            if len(fields) != 5:
+                raise ValueError(
+                    f"{where}: expected 'person object material path timestamp', "
+                    f"got {len(fields)} fields"
+                )
+            person, obj, mat, rel, t = fields
+            try:
+                person_id, t_value = int(person), float(t)
+                if not np.isfinite(t_value):
+                    raise ValueError  # a nan or inf time has no place in time folds
+            except ValueError:
+                raise ValueError(
+                    f"{where}: person and timestamp must be (finite) numbers, "
+                    f"got {person!r} and {t!r}"
+                ) from None
+            if obj not in taxonomy.object_slugs():
+                raise ValueError(f"{where}: unknown object {obj!r}")
+            if mat not in taxonomy.material_slugs():
+                raise ValueError(f"{where}: unknown material {mat!r}")
+            if not mapping.is_valid(obj, mat):
+                raise ValueError(f"{where}: invalid pair ({obj}, {mat})")
             records.append(
                 SampleRecord(
-                    person_id=int(person),
+                    person_id=person_id,
                     object=taxonomy.object_index(obj),
                     material=taxonomy.material_index(mat),
                     image=load_image(root / rel),
-                    t=float(t),
+                    t=t_value,
                     path=rel,
                 )
             )

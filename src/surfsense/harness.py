@@ -55,17 +55,16 @@ def confusion(preds: Sequence[int], labels: Sequence[int], n_classes: int) -> Co
     """Counts and column-normalized confusion over 1-based labels."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
+    if preds.shape != labels.shape:
+        raise ValueError(f"{preds.size} predictions for {labels.size} labels")
     if labels.min() < 1 or labels.max() > n_classes:
         raise ValueError("labels out of range")
+    # Predictions outside 1..C (possible before head growth) count as
+    # errors but cannot be binned; column totals still include them.
+    binned = (preds >= 1) & (preds <= n_classes)
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for p, t in zip(preds, labels):
-        if 1 <= p <= n_classes:
-            counts[p - 1, t - 1] += 1
-        # predictions outside 1..C (possible before head growth) count
-        # as errors but cannot be binned; column totals still include them
-    col_totals = np.zeros(n_classes, dtype=np.int64)
-    for t in labels:
-        col_totals[t - 1] += 1
+    np.add.at(counts, (preds[binned] - 1, labels[binned] - 1), 1)
+    col_totals = np.bincount(labels - 1, minlength=n_classes)
     normalized = np.zeros((n_classes, n_classes), dtype=np.float64)
     nonzero = col_totals > 0
     normalized[:, nonzero] = counts[:, nonzero] / col_totals[nonzero]
@@ -272,23 +271,13 @@ def select_difficult(
 ) -> List[SampleRecord]:
     """Pick the instances a model handles worst: everything it
     misclassifies on either head, then the lowest-confidence rest."""
-    if not records:
-        return []
-    pred_o, pred_m = classifier.predict_records(params, list(records))
-    confs = np.zeros(len(records))
-    for start in range(0, len(records), 64):
-        chunk = records[start : start + 64]
-        x = np.stack([r.image.pixels.transpose(2, 0, 1) for r in chunk])
-        p_o, p_m = classifier.forward_batch(params, x)
-        confs[start : start + len(chunk)] = p_o.max(axis=1) * p_m.max(axis=1)
-    wrong = np.array(
-        [
-            (pred_o[i] != records[i].object) or (pred_m[i] != records[i].material)
-            for i in range(len(records))
-        ]
-    )
-    # wrong first, then ascending confidence
-    order = sorted(range(len(records)), key=lambda i: (not wrong[i], confs[i]))
+    logits_o, logits_m = classifier.predict_logits(params, records)
+    pred_o = classifier.top1(params.object_classes, logits_o)
+    pred_m = classifier.top1(params.material_classes, logits_m)
+    wrong = (pred_o != [r.object for r in records]) | (pred_m != [r.material for r in records])
+    confs = classifier.softmax(logits_o).max(axis=1) * classifier.softmax(logits_m).max(axis=1)
+    # wrong first, then ascending confidence (stable among ties)
+    order = np.lexsort((confs, ~wrong))
     return [records[i] for i in order[:keep]]
 
 

@@ -10,7 +10,7 @@ parallel across images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Tuple, Union
+from typing import BinaryIO, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -344,11 +344,6 @@ def augment(img: Image, rng_seed: SeedLike, policy: AugmentPolicy = AugmentPolic
     if img.height != img.width:
         raise ValueError("augment expects a square image")
     return Image(augment_batch([img], [rng_seed], policy)[0])
-
-
-def standardize(img: Image, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Optional per-channel standardization; returns a raw array, not an Image."""
-    return (img.pixels - mean.reshape(1, 1, -1)) / std.reshape(1, 1, -1)
 
 
 # --- PPM (P6) / PGM (P5) --------------------------------------------------

@@ -93,7 +93,7 @@ class TriggerEvent:
     kind: EventKind
 
 
-def reset(state: Optional[PlacementState] = None) -> PlacementState:
+def reset() -> PlacementState:
     """Fresh stream state: moving, not backgrounded."""
     return PlacementState()
 

@@ -2,21 +2,26 @@
 
 A bounded memory buffer retains past experiences while the classifier
 trains on a stream of new tasks; each training step mixes a batch of new
-data with a same-sized draw from the buffer.  Five optimization tricks
-are supported, each switchable:
+data with ``replay_batch`` items drawn uniformly, with replacement, from
+the buffer.  Each new record enters the buffer once, through
+:func:`insert`.  Five optimization tricks are supported, each
+switchable:
 
 1. independent buffer augmentation: every replayed item gets its own
    fresh augmentation seed instead of a batch-shared transform;
-2. bias control: a two-parameter affine correction fit on a held-out
-   buffer slice rescales new-class logits at inference;
+2. bias control: per head, a two-parameter affine correction of the
+   new-class logits, fit on a fixed-stride slice of the buffer after
+   each task and applied at inference;
 3. exponential learning-rate decay per task (lr0 * gamma^t);
-4. balanced reservoir insertion: evictions come from the currently
-   most-populated class;
-5. loss-aware insertion: eviction probability proportional to
-   1 / (last_loss + eps), retaining difficult memories.
+4. balanced insertion: once the buffer is full, the victim comes from
+   the currently most-populated class;
+5. loss-aware insertion: once the buffer is full, the victim slot is
+   drawn with probability proportional to 1 / (last_loss + eps),
+   retaining difficult memories.
 
-The buffer is single-owner mutable state; the run loop is sequential by
-definition (task order matters).
+Tricks 4 and 5 pick the buffer's ``sampling_mode``; with neither, the
+buffer is a plain reservoir.  The buffer is single-owner mutable state;
+the run loop is sequential by definition (task order matters).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .corpus import SampleRecord
 from .imaging import Image, augment_batch
 
 LOSS_EPS = 1e-3
+SAMPLING_MODES = ("reservoir", "balanced", "loss_aware", "balanced_loss_aware")
 
 
 @dataclass
@@ -49,15 +55,22 @@ class BufferItem:
 class ReplayBuffer:
     """Bounded memory with a pluggable eviction discipline.
 
-    ``sampling_mode`` is one of ``reservoir``, ``balanced``,
-    ``loss_aware``, or ``balanced_loss_aware``; ``seen_count`` is the
-    total stream length observed.
+    ``sampling_mode`` is one of ``SAMPLING_MODES`` (see :func:`insert`);
+    ``seen_count`` is the total stream length observed.
     """
 
     capacity: int = 500
     sampling_mode: str = "reservoir"
     items: List[BufferItem] = field(default_factory=list)
     seen_count: int = 0
+
+    def __post_init__(self) -> None:
+        if self.sampling_mode not in SAMPLING_MODES:
+            raise ValueError(
+                f"unknown sampling_mode {self.sampling_mode!r}; expected one of {SAMPLING_MODES}"
+            )
+        if self.capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
 
     def class_counts(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
@@ -103,22 +116,7 @@ class CLConfig:
         return "reservoir"
 
 
-# --- insertion disciplines ---------------------------------------------------
-
-
-def reservoir_insert(buf: ReplayBuffer, item: BufferItem, rng: np.random.Generator) -> ReplayBuffer:
-    """Plain reservoir discipline: every stream item survives with
-    probability capacity / seen_count."""
-    buf.seen_count += 1
-    if buf.capacity == 0:
-        return buf
-    if len(buf.items) < buf.capacity:
-        buf.items.append(item)
-        return buf
-    j = int(rng.integers(0, buf.seen_count))
-    if j < buf.capacity:
-        buf.items[j] = item
-    return buf
+# --- insertion ----------------------------------------------------------------
 
 
 def _most_populated_class(buf: ReplayBuffer, incoming: int, rng: np.random.Generator) -> int:
@@ -133,67 +131,44 @@ def _most_populated_class(buf: ReplayBuffer, incoming: int, rng: np.random.Gener
     return int(tied[rng.integers(0, len(tied))])
 
 
-def balanced_insert(buf: ReplayBuffer, item: BufferItem, rng: np.random.Generator) -> ReplayBuffer:
-    """Class-balancing insertion: once full, the victim comes from the
-    most-populated class, so minority classes are never displaced."""
-    buf.seen_count += 1
-    if buf.capacity == 0:
-        return buf
-    if len(buf.items) < buf.capacity:
-        buf.items.append(item)
-        return buf
-    victim_class = _most_populated_class(buf, item.material, rng)
-    slots = [i for i, it in enumerate(buf.items) if it.material == victim_class]
-    buf.items[slots[int(rng.integers(0, len(slots)))]] = item
-    return buf
-
-
-def loss_aware_insert(buf: ReplayBuffer, item: BufferItem, rng: np.random.Generator) -> ReplayBuffer:
-    """Difficulty-retaining insertion: once full, slot j is evicted with
-    probability proportional to 1 / (last_loss_j + eps)."""
-    buf.seen_count += 1
-    if buf.capacity == 0:
-        return buf
-    if len(buf.items) < buf.capacity:
-        buf.items.append(item)
-        return buf
-    weights = np.array([1.0 / (it.last_loss + LOSS_EPS) for it in buf.items])
-    weights /= weights.sum()
-    j = int(rng.choice(len(buf.items), p=weights))
-    buf.items[j] = item
-    return buf
-
-
-def balanced_loss_aware_insert(
-    buf: ReplayBuffer, item: BufferItem, rng: np.random.Generator
-) -> ReplayBuffer:
-    """Both disciplines composed: victim class by balance, victim slot
-    within the class by inverse loss."""
-    buf.seen_count += 1
-    if buf.capacity == 0:
-        return buf
-    if len(buf.items) < buf.capacity:
-        buf.items.append(item)
-        return buf
-    victim_class = _most_populated_class(buf, item.material, rng)
-    slots = [i for i, it in enumerate(buf.items) if it.material == victim_class]
-    weights = np.array([1.0 / (buf.items[i].last_loss + LOSS_EPS) for i in slots])
-    weights /= weights.sum()
-    j = slots[int(rng.choice(len(slots), p=weights))]
-    buf.items[j] = item
-    return buf
-
-
-_INSERTERS = {
-    "reservoir": reservoir_insert,
-    "balanced": balanced_insert,
-    "loss_aware": loss_aware_insert,
-    "balanced_loss_aware": balanced_loss_aware_insert,
-}
-
-
 def insert(buf: ReplayBuffer, item: BufferItem, rng: np.random.Generator) -> ReplayBuffer:
-    return _INSERTERS[buf.sampling_mode](buf, item, rng)
+    """Stream one item into the buffer under its ``sampling_mode``.
+
+    Every call counts towards ``seen_count``; below capacity the item is
+    appended.  Once full, ``reservoir`` keeps the item with probability
+    capacity / seen_count, in a uniform slot (Vitter's algorithm R).  The
+    other modes always keep it and pick the victim in two steps: the
+    class (``balanced*``: the most populated, so minority classes are
+    never displaced; otherwise any), then the slot within it
+    (``*loss_aware``: with probability proportional to
+    1 / (last_loss + eps), retaining difficult memories; otherwise
+    uniform).
+    """
+    buf.seen_count += 1
+    if buf.capacity == 0:
+        return buf
+    if len(buf.items) < buf.capacity:
+        buf.items.append(item)
+        return buf
+    mode = buf.sampling_mode
+    if mode == "reservoir":
+        j = int(rng.integers(0, buf.seen_count))
+        if j < buf.capacity:
+            buf.items[j] = item
+        return buf
+    if mode.startswith("balanced"):
+        victim_class = _most_populated_class(buf, item.material, rng)
+        slots = [i for i, it in enumerate(buf.items) if it.material == victim_class]
+    else:
+        slots = range(len(buf.items))
+    if mode.endswith("loss_aware"):
+        weights = np.array([1.0 / (buf.items[i].last_loss + LOSS_EPS) for i in slots])
+        weights /= weights.sum()
+        pick = int(rng.choice(len(slots), p=weights))
+    else:
+        pick = int(rng.integers(0, len(slots)))
+    buf.items[slots[pick]] = item
+    return buf
 
 
 def fill_from_records(
@@ -206,17 +181,7 @@ def fill_from_records(
     """Stream a record list through the buffer (e.g. to seed it with the
     pretraining data).  When ``params`` is given, stored losses are the
     model's current per-sample losses; otherwise zero."""
-    losses = np.zeros(len(records))
-    if params is not None:
-        for start in range(0, len(records), 64):
-            chunk = records[start : start + 64]
-            x = np.stack([r.image.pixels.transpose(2, 0, 1) for r in chunk])
-            losses[start : start + len(chunk)] = classifier.per_sample_losses(
-                params,
-                x,
-                np.array([r.object for r in chunk]),
-                np.array([r.material for r in chunk]),
-            )
+    losses = np.zeros(len(records)) if params is None else classifier.per_sample_losses(params, records)
     for i, rec in enumerate(records):
         insert(
             buf,
@@ -367,8 +332,7 @@ def fit_bias_correction(
         return BiasParams()
     hold = _holdout_slice(len(buf.items), cfg.bias_fit_fraction)
     items = [buf.items[i] for i in hold]
-    x = np.stack([it.image.pixels.transpose(2, 0, 1) for it in items])
-    logits_o, logits_m = classifier.head_logits_batch(params, x)
+    logits_o, logits_m = classifier.predict_logits(params, items)
 
     def fit_head(logits, classes, labels, new_classes) -> HeadBias:
         units = [i for i, c in enumerate(classes) if c in set(new_classes)]
@@ -401,22 +365,15 @@ def fit_bias_correction(
 
 
 def predict_with_bias(
-    params: ModelParams, records: Sequence[SampleRecord], bias: BiasParams, batch: int = 64
+    params: ModelParams, records: Sequence[SampleRecord], bias: BiasParams
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-1 taxonomy indices with bias correction applied to the logits."""
-    pred_o = np.zeros(len(records), dtype=int)
-    pred_m = np.zeros(len(records), dtype=int)
-    oc = np.array(params.object_classes)
-    mc = np.array(params.material_classes)
-    for start in range(0, len(records), batch):
-        chunk = records[start : start + batch]
-        x = np.stack([r.image.pixels.transpose(2, 0, 1) for r in chunk])
-        logits_o, logits_m = classifier.head_logits_batch(params, x)
-        logits_o = apply_bias(logits_o, bias.object_head)
-        logits_m = apply_bias(logits_m, bias.material_head)
-        pred_o[start : start + len(chunk)] = oc[np.argmax(logits_o, axis=1)]
-        pred_m[start : start + len(chunk)] = mc[np.argmax(logits_m, axis=1)]
-    return pred_o, pred_m
+    """Top-1 taxonomy indices: the argmax of each head's logits after
+    :func:`apply_bias`."""
+    logits_o, logits_m = classifier.predict_logits(params, records)
+    return (
+        classifier.top1(params.object_classes, apply_bias(logits_o, bias.object_head)),
+        classifier.top1(params.material_classes, apply_bias(logits_m, bias.material_head)),
+    )
 
 
 # --- the continual-learning run ----------------------------------------------

@@ -169,9 +169,6 @@ class MappingTable:
             (tax.object_index(o), tax.material_index(m)) for o, m in self.valid_pairs
         )
 
-    def with_pairs(self, extra: Sequence[Tuple[str, str]]) -> "MappingTable":
-        return MappingTable(self.taxonomy, self.valid_pairs | frozenset(extra))
-
     @staticmethod
     def from_file(path, taxonomy: LabelTaxonomy = DEFAULT_TAXONOMY) -> "MappingTable":
         """Override table from lines of `object_slug material_slug`."""

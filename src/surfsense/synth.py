@@ -16,7 +16,7 @@ lossless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -286,21 +286,8 @@ def synth_generate(spec: SynthSpec) -> Corpus:
             pending.append((j, mi, person, rec))
 
     pending.sort(key=lambda item: (item[0], item[1], item[2]))
-    records = [
-        replace_record_time(rec, float(t)) for t, (_, _, _, rec) in enumerate(pending)
-    ]
+    records = [replace(rec, t=float(t)) for t, (_, _, _, rec) in enumerate(pending)]
     return Corpus(records, tax, mapping)
-
-
-def replace_record_time(rec: SampleRecord, t: float) -> SampleRecord:
-    return SampleRecord(
-        person_id=rec.person_id,
-        object=rec.object,
-        material=rec.material,
-        image=rec.image,
-        t=t,
-        path=rec.path,
-    )
 
 
 # --- extended taxonomy for deployment-time novel classes -------------------

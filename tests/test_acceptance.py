@@ -22,9 +22,7 @@ from surfsense.replay import (
     CLConfig,
     CLTricks,
     ReplayBuffer,
-    loss_aware_insert,
-    reservoir_insert,
-    balanced_insert,
+    insert,
 )
 from surfsense.semantics import (
     DEFAULT_MAPPING,
@@ -121,7 +119,7 @@ def test_criterion_03_reservoir_statistics():
         buf = ReplayBuffer(capacity=m)
         rng = np.random.default_rng(seed)
         for i in range(n):
-            reservoir_insert(
+            insert(
                 buf, BufferItem(template.image, 1, i, 0.0, 0, i), rng
             )
         for it in buf.items:
@@ -137,7 +135,7 @@ def test_criterion_03_reservoir_statistics():
     rng = np.random.default_rng(7)
     for i in range(5000):
         mat = 1 if rng.random() < 0.9 else 2
-        balanced_insert(buf, _dummy_item(mat), rng)
+        insert(buf, _dummy_item(mat), rng)
     cc = buf.class_counts()
     balanced_ok = abs(cc.get(1, 0) - 50) <= 1 and abs(cc.get(2, 0) - 50) <= 1
 
@@ -149,7 +147,7 @@ def test_criterion_03_reservoir_statistics():
         buf2 = ReplayBuffer(capacity=2, sampling_mode="loss_aware")
         buf2.items = [lo, hi]
         buf2.seen_count = 2
-        loss_aware_insert(buf2, _dummy_item(3, 1.0), rng)
+        insert(buf2, _dummy_item(3, 1.0), rng)
         if all(it.material != 1 for it in buf2.items):
             evict_lo += 1
         else:

@@ -3,11 +3,9 @@ import pytest
 
 from surfsense import classifier as C
 from surfsense.classifier import (
-    ParallelParams,
     TrainConfig,
     TrainingDiverged,
     forward,
-    forward_parallel,
     grow_heads,
     init_params,
     load_checkpoint,
@@ -15,7 +13,6 @@ from surfsense.classifier import (
     relu_kink_margin,
     save_checkpoint,
     train,
-    train_parallel,
 )
 from surfsense.corpus import SampleRecord
 from surfsense.imaging import Image
@@ -225,6 +222,21 @@ def test_separable_toy_reaches_full_train_accuracy():
     assert np.mean(pred_m == np.array([r.material for r in recs])) == 1.0
 
 
+def test_predict_records_over_several_chunks_matches_single_image_forward():
+    p = init_params(seed=2)
+    n = 2 * C.PREDICT_CHUNK + 5
+    recs = records_from_arrays([rand_image(i, side=8) for i in range(n)], [1] * n, [1] * n)
+    logits_o, logits_m = C.predict_logits(p, recs)
+    assert logits_o.shape == (n, 6) and logits_m.shape == (n, 9)
+    pred_o, pred_m = C.predict_records(p, recs)
+    for i, rec in enumerate(recs):
+        single = forward(p, rec.image)
+        assert np.allclose(C.softmax(logits_o[i : i + 1])[0], single.p_object, atol=1e-6)
+        assert (pred_o[i], pred_m[i]) == (single.top1_object, single.top1_material)
+    empty_o, empty_m = C.predict_records(p, [])
+    assert empty_o.shape == empty_m.shape == (0,)
+
+
 def test_zero_learning_rate_leaves_weights_unchanged():
     recs = separable_records(n_per_class=4)
     cfg = TrainConfig(lr0=0.0, batch=4, epochs=2, seed=0)
@@ -339,20 +351,6 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_checkpoint(path)
-
-
-# --- parallel trunks (fidelity mode) ---
-
-
-def test_parallel_trunks_train_and_predict():
-    recs = separable_records(n_per_class=6)
-    cfg = TrainConfig(lr0=2e-3, batch=8, epochs=3, seed=0, augment=False)
-    pp = ParallelParams(init_params(seed=0), init_params(seed=1))
-    trained = train_parallel(pp, recs, cfg)
-    pred = forward_parallel(trained, recs[0].image)
-    assert pred.p_object.shape == (6,)
-    assert pred.p_material.shape == (9,)
-    assert pred.top1_object == recs[0].object
 
 
 def test_standardize_option_trains_and_roundtrips(tmp_path):

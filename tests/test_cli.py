@@ -135,6 +135,28 @@ def test_train_evaluate_and_report(tmp_path):
     assert "summary.txt" in (eval_out / "report.txt").read_text()
 
 
+def test_report_keeps_the_config_of_the_run_it_reports_on(tmp_path):
+    gen_out = tmp_path / "gen"
+    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=3, persons=2, side=32, seed=3)
+    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
+    eval_out = tmp_path / "eval"
+    eval_cfg = write_config(
+        tmp_path / "e.txt",
+        out_dir=eval_out,
+        corpus_manifest=gen_out / "corpus" / "manifest.txt",
+        k=2,
+        epochs=1,
+        seed=3,
+    )
+    assert run(["evaluate", eval_cfg]) == 0
+    before = tree_digest(eval_out)
+    assert run(["report", write_config(tmp_path / "r.txt", out_dir=eval_out)]) == 0
+    assert (eval_out / "config.txt").read_bytes() == eval_cfg.read_bytes()
+    after = tree_digest(eval_out)
+    del after["report.txt"]
+    assert after == before
+
+
 def test_train_rerun_byte_identical_checkpoint(tmp_path):
     gen_out = tmp_path / "gen"
     write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=4, persons=2, side=32, seed=2)
@@ -226,21 +248,3 @@ def test_commands_do_not_mutate_inputs(tmp_path):
     )
     assert run(["train", tmp_path / "t.txt"]) == 0
     assert tree_digest(gen_out) == before
-
-
-def test_train_parallel_trunks_writes_two_checkpoints(tmp_path):
-    gen_out = tmp_path / "gen"
-    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=3, persons=2, side=32, seed=6)
-    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
-    train_out = tmp_path / "train"
-    write_config(
-        tmp_path / "t.txt",
-        out_dir=train_out,
-        corpus_manifest=gen_out / "corpus" / "manifest.txt",
-        epochs=1,
-        seed=6,
-        parallel_trunks="true",
-    )
-    assert run(["train", tmp_path / "t.txt"]) == 0
-    assert (train_out / "checkpoint_object.bin").exists()
-    assert (train_out / "checkpoint_material.bin").exists()

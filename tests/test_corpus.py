@@ -298,6 +298,52 @@ def test_manifest_roundtrip(tmp_path):
         assert np.array_equal(ra.image.pixels, rb.image.pixels)
 
 
+def _manifest_with(tmp_path, bad_line):
+    """A valid two-record manifest with ``bad_line`` inserted as line 2;
+    ``{rel}`` in it names an image that exists."""
+    corpus = synth_generate(tiny_spec(per_class=2, persons=1, side=8))
+    manifest = tmp_path / "manifest.txt"
+    write_manifest(corpus, tmp_path, manifest)
+    lines = manifest.read_text().splitlines()
+    lines.insert(1, bad_line.format(rel=lines[0].split()[3]))
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("line", ["1 bed plush", "1 bed plush {rel} 0.5 extra"])
+def test_manifest_wrong_field_count_names_the_line(tmp_path, line):
+    manifest = _manifest_with(tmp_path, line)
+    with pytest.raises(ValueError, match=f"{manifest}:2: expected .* got [36] fields"):
+        read_manifest(manifest, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("1 bed granite {rel} 0.5", "unknown material 'granite'"),
+     ("1 throne plush {rel} 0.5", "unknown object 'throne'")],
+)
+def test_manifest_unknown_slug_names_the_line(tmp_path, line, message):
+    manifest = _manifest_with(tmp_path, line)
+    with pytest.raises(ValueError, match=f"{manifest}:2: {message}"):
+        read_manifest(manifest, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "line", ["alice bed plush {rel} 0.5", "1 bed plush {rel} noon", "1 bed plush {rel} nan"]
+)
+def test_manifest_non_numeric_person_or_time_names_the_line(tmp_path, line):
+    manifest = _manifest_with(tmp_path, line)
+    with pytest.raises(ValueError, match=rf"{manifest}:2: person and timestamp must be \(finite\)"):
+        read_manifest(manifest, tmp_path)
+
+
+def test_manifest_invalid_pair_names_the_line(tmp_path):
+    # both slugs are known, but no bed is ceramic in the mapping table
+    manifest = _manifest_with(tmp_path, "1 bed ceramic {rel} 0.5")
+    with pytest.raises(ValueError, match=rf"{manifest}:2: invalid pair \(bed, ceramic\)"):
+        read_manifest(manifest, tmp_path)
+
+
 def test_novel_spec_generates_extended_classes():
     corpus = synth_generate(synth.novel_spec(5, images_per_class=4, side=32))
     tax = corpus.taxonomy

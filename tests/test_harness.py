@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surfsense.classifier import TrainConfig, init_params
+from surfsense.classifier import TrainConfig, forward, init_params
 from surfsense.corpus import make_split
 from surfsense.harness import (
     confusion,
@@ -10,6 +10,7 @@ from surfsense.harness import (
     latency_probe,
     lopo_report,
     run_protocol,
+    select_difficult,
     top1_accuracy,
 )
 from surfsense.synth import SynthSpec, synth_generate
@@ -80,6 +81,47 @@ def test_empty_column_stays_zero():
 def test_labels_out_of_range_rejected():
     with pytest.raises(ValueError):
         confusion([1], [4], 3)
+
+
+def test_out_of_range_predictions_are_unbinned_but_counted_in_columns():
+    labels = np.array([1, 2, 2, 3])
+    preds = np.array([1, 0, 2, 4])  # 0 and C+1 cannot be binned
+    cm = confusion(preds, labels, 3)
+    assert cm.counts.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+    assert cm.normalized[:, 1].tolist() == [0.0, 0.5, 0.0]
+    assert cm.normalized[:, 2].tolist() == [0.0, 0.0, 0.0]
+    assert cm.accuracy() == 1.0  # trace over binned counts only
+
+
+def confusion_counts_loop(preds, labels, n_classes):
+    """Per-sample loop reference for ``confusion``'s counts and column totals."""
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    col_totals = np.zeros(n_classes, dtype=np.int64)
+    for p, t in zip(preds, labels):
+        if 1 <= p <= n_classes:
+            counts[p - 1, t - 1] += 1
+        col_totals[t - 1] += 1
+    return counts, col_totals
+
+
+def test_confusion_matches_the_loop_reference():
+    rng = np.random.default_rng(5)
+    for n_classes in (1, 3, 9, 11):
+        labels = rng.integers(1, n_classes + 1, size=300)
+        preds = rng.integers(-1, n_classes + 3, size=300)  # some out of range
+        cm = confusion(preds, labels, n_classes)
+        counts, col_totals = confusion_counts_loop(preds, labels, n_classes)
+        assert np.array_equal(cm.counts, counts)
+        present = col_totals > 0
+        assert np.array_equal(cm.normalized[:, present], counts[:, present] / col_totals[present])
+        assert not cm.normalized[:, ~present].any()
+
+
+def test_prediction_label_length_mismatch_rejected():
+    with pytest.raises(ValueError, match="3 predictions for 2 labels"):
+        confusion([1, 2, 2], [1, 2], 3)
+    with pytest.raises(ValueError):
+        confusion([1], [1, 2], 3)
 
 
 # --- LOPO missing-class averaging ---
@@ -228,3 +270,20 @@ def test_default_stage_set_runs():
     assert set(stats) == {"trigger_ingest", "quality_gate", "forward_pass"}
     for s in stats.values():
         assert s.min_s <= s.mean_s <= s.max_s
+
+
+def test_select_difficult_puts_errors_first_then_low_confidence():
+    recs = synth_generate(SynthSpec(rng_seed=4, images_per_class=4, side=16, persons=2)).records
+    params = init_params(seed=1)
+    preds = [forward(params, r.image) for r in recs]
+    wrong = [
+        (p.top1_object, p.top1_material) != (r.object, r.material) for p, r in zip(preds, recs)
+    ]
+    conf = [float(p.p_object.max() * p.p_material.max()) for p in preds]
+    position = {id(r): i for i, r in enumerate(recs)}
+    picked = [position[id(r)] for r in select_difficult(recs, params, keep=10)]
+    assert len(set(picked)) == 10
+    keys = [(not wrong[i], conf[i]) for i in picked]
+    assert keys == sorted(keys)
+    assert keys[-1] <= min((not wrong[i], conf[i]) for i in range(len(recs)) if i not in picked)
+    assert select_difficult([], params, keep=3) == []

@@ -16,12 +16,10 @@ from surfsense.replay import (
     ReplayBuffer,
     Task,
     apply_bias,
-    balanced_insert,
     cl_run,
     fit_affine_on_logits,
     fit_bias_correction,
-    loss_aware_insert,
-    reservoir_insert,
+    insert,
     sample_replay_batch,
     task_seed,
 )
@@ -44,6 +42,15 @@ def simple_records(labels, side=8):
     return recs
 
 
+def test_buffer_rejects_unknown_mode_and_negative_capacity():
+    with pytest.raises(ValueError, match="sampling_mode"):
+        ReplayBuffer(capacity=4, sampling_mode="fifo")
+    with pytest.raises(ValueError, match="capacity"):
+        ReplayBuffer(capacity=-1)
+    for mode in replay.SAMPLING_MODES:
+        assert ReplayBuffer(capacity=0, sampling_mode=mode).sampling_mode == mode
+
+
 # --- reservoir discipline ---
 
 
@@ -51,7 +58,7 @@ def test_under_capacity_retains_everything():
     buf = ReplayBuffer(capacity=500)
     rng = np.random.default_rng(0)
     for i in range(500):
-        reservoir_insert(buf, item(seed=i), rng)
+        insert(buf, item(seed=i), rng)
     assert len(buf.items) == 500
     assert buf.seen_count == 500
 
@@ -62,8 +69,8 @@ def test_capacity_one_stream_of_two_is_fair():
     for seed in range(trials):
         buf = ReplayBuffer(capacity=1)
         rng = np.random.default_rng(seed)
-        reservoir_insert(buf, item(material=1), rng)
-        reservoir_insert(buf, item(material=2), rng)
+        insert(buf, item(material=1), rng)
+        insert(buf, item(material=2), rng)
         hits += buf.items[0].material == 2
     # exact inclusion probability is 1/2
     assert abs(hits / trials - 0.5) < 0.03
@@ -76,7 +83,7 @@ def test_reservoir_inclusion_frequency_small_scale():
         buf = ReplayBuffer(capacity=m)
         rng = np.random.default_rng(s)
         for i in range(n):
-            reservoir_insert(buf, item(material=i), rng)
+            insert(buf, item(material=i), rng)
         for it in buf.items:
             counts[it.material] += 1
     freq = counts / seeds
@@ -94,7 +101,7 @@ def test_capacity_zero_counts_but_stores_nothing():
     buf = ReplayBuffer(capacity=0)
     rng = np.random.default_rng(0)
     for i in range(10):
-        reservoir_insert(buf, item(), rng)
+        insert(buf, item(), rng)
     assert buf.items == []
     assert buf.seen_count == 10
 
@@ -107,7 +114,7 @@ def test_balanced_ninety_ten_stream_equalizes():
     rng = np.random.default_rng(7)
     for i in range(5000):
         mat = 1 if rng.random() < 0.9 else 2
-        balanced_insert(buf, item(material=mat), rng)
+        insert(buf, item(material=mat), rng)
     counts = buf.class_counts()
     assert abs(counts[1] - 50) <= 1
     assert abs(counts[2] - 50) <= 1
@@ -118,11 +125,11 @@ def test_balanced_single_class_evicts_uniformly():
     buf = ReplayBuffer(capacity=20, sampling_mode="balanced")
     rng = np.random.default_rng(3)
     for i in range(20):
-        balanced_insert(buf, item(material=1, loss=float(i)), rng)
+        insert(buf, item(material=1, loss=float(i)), rng)
     evictions = np.zeros(20)
     for trial in range(4000):
         snapshot = [it.last_loss for it in buf.items]
-        balanced_insert(buf, item(material=1, loss=1000.0 + trial), rng)
+        insert(buf, item(material=1, loss=1000.0 + trial), rng)
         changed = [i for i in range(20) if buf.items[i].last_loss != snapshot[i]]
         evictions[changed[0]] += 1
     # chi-square uniformity over slots
@@ -137,7 +144,7 @@ def test_balanced_three_class_spread_at_most_one():
     buf = ReplayBuffer(capacity=10, sampling_mode="balanced")
     rng = np.random.default_rng(5)
     for i in range(3000):
-        balanced_insert(buf, item(material=1 + i % 3), rng)
+        insert(buf, item(material=1 + i % 3), rng)
         if buf.seen_count > 30:
             counts = sorted(buf.class_counts().values())
             assert counts[-1] - counts[0] <= 1
@@ -154,7 +161,7 @@ def test_loss_aware_evicts_easy_items():
         buf = ReplayBuffer(capacity=2, sampling_mode="loss_aware")
         buf.items = [item(material=1, loss=0.01), item(material=2, loss=10.0)]
         buf.seen_count = 2
-        loss_aware_insert(buf, item(material=3, loss=1.0), rng)
+        insert(buf, item(material=3, loss=1.0), rng)
         mats = {it.material for it in buf.items}
         if 1 not in mats:
             evict_low += 1
@@ -172,7 +179,7 @@ def test_loss_aware_equal_losses_is_uniform():
         buf = ReplayBuffer(capacity=10, sampling_mode="loss_aware")
         buf.items = [item(material=i, loss=2.0) for i in range(10)]
         buf.seen_count = 10
-        loss_aware_insert(buf, item(material=99, loss=2.0), rng)
+        insert(buf, item(material=99, loss=2.0), rng)
         gone = next(i for i in range(10) if buf.items[i].material != i)
         evictions[gone] += 1
     expected = evictions.sum() / 10
@@ -187,8 +194,23 @@ def test_loss_aware_zero_loss_stays_finite():
     buf = ReplayBuffer(capacity=2, sampling_mode="loss_aware")
     buf.items = [item(material=1, loss=0.0), item(material=2, loss=0.0)]
     buf.seen_count = 2
-    loss_aware_insert(buf, item(material=3, loss=0.0), rng)
+    insert(buf, item(material=3, loss=0.0), rng)
     assert len(buf.items) == 2
+
+
+def test_fill_from_records_stores_each_records_joint_loss():
+    recs = simple_records([(1, 1), (3, 3), (5, 7)] * 3)
+    params = init_params(seed=0, object_classes=[1, 3, 5], material_classes=[1, 3, 7])
+    buf = replay.fill_from_records(ReplayBuffer(capacity=20), recs, np.random.default_rng(0), params)
+    assert buf.seen_count == len(recs)
+    for it, rec in zip(buf.items, recs):
+        pred = classifier.forward(params, rec.image)
+        want = -np.log(pred.p_object[[1, 3, 5].index(rec.object)]) - np.log(
+            pred.p_material[[1, 3, 7].index(rec.material)]
+        )
+        assert it.last_loss == pytest.approx(float(want), rel=1e-5)
+    no_params = replay.fill_from_records(ReplayBuffer(capacity=20), recs, np.random.default_rng(0))
+    assert [it.last_loss for it in no_params.items] == [0.0] * len(recs)
 
 
 # --- replay draws ---
