@@ -2,9 +2,9 @@
 
 Images are float rasters in [0, 1], shape (height, width, channels) with
 1 or 3 channels.  The sharpness gate is the variance of a
-Laplacian-of-Gaussian response; blurrier images score lower.  All
-operations here are pure functions over value data and safe to run in
-parallel across images.
+Laplacian-of-Gaussian response; blurrier images score lower.  The
+module keeps no state between calls, so concurrent calls on different
+inputs do not interact; a ``Generator`` passed as a seed is advanced.
 """
 
 from __future__ import annotations
@@ -201,74 +201,10 @@ def _bilinear_resize(square: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
-def _reflect_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    # Mirror without repeating the edge sample (period 2n - 2):
-    # reflect(i) = min(i mod p, p - i mod p).
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * (n - 1)
-    np.mod(idx, period, out=idx)
-    np.minimum(idx, period - idx, out=idx)
-    return idx
-
-
-def _warp_bilinear_reflect(
-    flat: np.ndarray, n: int, side: int, ch: int, ysrc: np.ndarray, xsrc: np.ndarray
-) -> np.ndarray:
-    """Gather (n, side, side, ch) output from per-image source coordinates.
-
-    ``flat`` is the stacked source, shape (n*side*side, ch); blending is
-    fused in-place to keep temporary traffic low.
-    """
-    ysrc = ysrc.reshape(n, -1)
-    xsrc = xsrc.reshape(n, -1)
-    y0 = np.floor(ysrc).astype(np.intp)
-    x0 = np.floor(xsrc).astype(np.intp)
-    fy = (ysrc - y0).astype(flat.dtype)[..., None]
-    fx = (xsrc - x0).astype(flat.dtype)[..., None]
-    y1 = _reflect_indices(y0 + 1, side)
-    y0 = _reflect_indices(y0, side)
-    x1 = _reflect_indices(x0 + 1, side)
-    x0 = _reflect_indices(x0, side)
-    offsets = (np.arange(n, dtype=np.intp) * side * side)[:, None]
-    y0 *= side
-    y0 += offsets
-    y1 *= side
-    y1 += offsets
-
-    g00 = flat.take((y0 + x0).ravel(), axis=0).reshape(n, -1, ch)
-    g01 = flat.take((y0 + x1).ravel(), axis=0).reshape(n, -1, ch)
-    g10 = flat.take((y1 + x0).ravel(), axis=0).reshape(n, -1, ch)
-    g11 = flat.take((y1 + x1).ravel(), axis=0).reshape(n, -1, ch)
-    g01 -= g00
-    g01 *= fx
-    g01 += g00  # top row blend
-    g11 -= g10
-    g11 *= fx
-    g11 += g10  # bottom row blend
-    g11 -= g01
-    g11 *= fy
-    g11 += g01
-    return g11.reshape(n, side, side, ch)
-
-
 def _as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-_GRID_CACHE: dict = {}
-
-
-def _pixel_grid(side: int):
-    grid = _GRID_CACHE.get(side)
-    if grid is None:
-        grid = np.meshgrid(
-            np.arange(side, dtype=float), np.arange(side, dtype=float), indexing="ij"
-        )
-        _GRID_CACHE[side] = grid
-    return grid
 
 
 def _draw_augment_params(
@@ -296,39 +232,79 @@ def augment_batch(
 ) -> np.ndarray:
     """Vectorized augmentation over same-sized square images.
 
-    Returns an (N, H, W, C) stack (dtype follows the inputs) identical
+    Returns an (N, H, W, C) array (dtype follows the inputs) identical
     to calling :func:`augment` per image with the matching seed; the
-    loop over images is fused so training batches stay cheap.
+    loop over images is fused so training batches stay cheap.  The
+    array is a view of a channel-planar (C, N, H, W) buffer.
     """
+    if len(rng_seeds) != len(images):
+        raise ValueError(f"{len(images)} images but {len(rng_seeds)} augmentation seeds")
     if not images:
         return np.zeros((0, 0, 0, 0), dtype=np.float32)
     side = images[0].width
-    ch = images[0].channels
     for img in images:
         if img.height != side or img.width != side:
             raise ValueError("augment_batch expects uniform square images")
+    stacked = np.stack([img.pixels for img in images])
+    n, ch, dtype = len(images), stacked.shape[3], stacked.dtype
 
-    n = len(images)
     flips, angles, dys, dxs = _draw_augment_params(rng_seeds, policy, side)
     noop = ~flips & (angles == 0.0) & (dys == 0.0) & (dxs == 0.0)
 
     # Output pixel (y, x) pulls from flip -> rotate -> shift applied to
-    # the input; sample at the inverse map about the image center.
+    # the input; sample at the inverse map about the image center.  Each
+    # source coordinate is the sum of a row term and a column term, both
+    # (N, side) products.
     c = (side - 1) / 2.0
-    ys, xs = _pixel_grid(side)
-    yr = ys[None, :, :] - c - dys[:, None, None]
-    xr = xs[None, :, :] - c - dxs[:, None, None]
-    cos_a = np.cos(angles)[:, None, None]
-    sin_a = np.sin(angles)[:, None, None]
-    ysrc = cos_a * yr + sin_a * xr + c
-    xsrc = -sin_a * yr + cos_a * xr + c
-    xsrc[flips] = (side - 1) - xsrc[flips]
+    grid = np.arange(side, dtype=float) - c
+    yr = grid - dys[:, None]
+    xr = grid - dxs[:, None]
+    cos_a = np.cos(angles)[:, None]
+    sin_a = np.sin(angles)[:, None]
+    ysrc = (cos_a * yr)[:, :, None] + (sin_a * xr)[:, None, :]
+    ysrc += c
+    xsrc = (-sin_a * yr)[:, :, None] + (cos_a * xr)[:, None, :]
+    xsrc += c
+    np.subtract(side - 1, xsrc, out=xsrc, where=flips[:, None, None])
+    y0 = np.floor(ysrc)
+    x0 = np.floor(xsrc)
+    fy = np.subtract(ysrc, y0, out=ysrc).astype(dtype, copy=False).reshape(-1)
+    fx = np.subtract(xsrc, x0, out=xsrc).astype(dtype, copy=False).reshape(-1)
 
-    stacked = np.stack([img.pixels for img in images])
-    out = _warp_bilinear_reflect(
-        stacked.reshape(n * side * side, ch), n, side, ch, ysrc, xsrc
-    )
+    # Reflect-pad the batch once into channel planes of (N, S, S), wide
+    # enough for every sample, so a sample's four corners are base,
+    # base + 1, base + S and base + S + 1 of one flat index.
+    before = max(0, -int(min(y0.min(), x0.min())))
+    after = max(0, int(max(y0.max(), x0.max())) + 2 - side)
+    s = side + before + after
+    pad = ((0, 0), (0, 0), (before, after), (before, after))
+    planes = np.pad(stacked.transpose(3, 0, 1, 2), pad, mode="reflect").reshape(ch, -1)
+    y0 *= s
+    y0 += x0
+    y0 += (np.arange(n) * (s * s) + before * (s + 1))[:, None, None]
+    base = y0.astype(np.intp).reshape(-1)
+    right, down, diag = base + 1, base + s, base + (s + 1)
+
+    # Every index is in range, so mode="clip" changes nothing but lets
+    # take write straight into ``out``.
+    out = np.empty((ch, base.size), dtype=dtype)
+    g00, g01, g10 = (np.empty(base.size, dtype=dtype) for _ in range(3))
+    for plane, g11 in zip(planes, out):
+        plane.take(base, out=g00, mode="clip")
+        plane.take(right, out=g01, mode="clip")
+        plane.take(down, out=g10, mode="clip")
+        plane.take(diag, out=g11, mode="clip")
+        g01 -= g00
+        g01 *= fx
+        g01 += g00  # top row blend
+        g11 -= g10
+        g11 *= fx
+        g11 += g10  # bottom row blend
+        g11 -= g01
+        g11 *= fy
+        g11 += g01
     np.clip(out, 0.0, 1.0, out=out)
+    out = out.reshape(ch, n, side, side).transpose(1, 2, 3, 0)
     for i in np.nonzero(noop)[0]:
         out[i] = images[i].pixels
     return out
@@ -343,7 +319,7 @@ def augment(img: Image, rng_seed: SeedLike, policy: AugmentPolicy = AugmentPolic
     """
     if img.height != img.width:
         raise ValueError("augment expects a square image")
-    return Image(augment_batch([img], [rng_seed], policy)[0])
+    return Image(np.ascontiguousarray(augment_batch([img], [rng_seed], policy)[0]))
 
 
 # --- PPM (P6) / PGM (P5) --------------------------------------------------

@@ -2,7 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from surfsense import imaging
 from surfsense.imaging import (
     AugmentPolicy,
     IDENTITY_POLICY,
@@ -225,6 +228,162 @@ def test_outputs_stay_in_range():
     for seed in range(10):
         out = augment(img, seed)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+# --- augment_batch vs. the per-pixel reflection reference ---
+
+
+def _reflect_indices(idx, n):
+    # Mirror without repeating the edge sample (period 2n - 2):
+    # reflect(i) = min(i mod p, p - i mod p).
+    if n == 1:
+        return np.zeros_like(idx)
+    period = 2 * (n - 1)
+    np.mod(idx, period, out=idx)
+    np.minimum(idx, period - idx, out=idx)
+    return idx
+
+
+def _warp_bilinear_reflect_reference(flat, n, side, ch, ysrc, xsrc):
+    ysrc = ysrc.reshape(n, -1)
+    xsrc = xsrc.reshape(n, -1)
+    y0 = np.floor(ysrc).astype(np.intp)
+    x0 = np.floor(xsrc).astype(np.intp)
+    fy = (ysrc - y0).astype(flat.dtype)[..., None]
+    fx = (xsrc - x0).astype(flat.dtype)[..., None]
+    y1 = _reflect_indices(y0 + 1, side)
+    y0 = _reflect_indices(y0, side)
+    x1 = _reflect_indices(x0 + 1, side)
+    x0 = _reflect_indices(x0, side)
+    offsets = (np.arange(n, dtype=np.intp) * side * side)[:, None]
+    y0 *= side
+    y0 += offsets
+    y1 *= side
+    y1 += offsets
+
+    g00 = flat.take((y0 + x0).ravel(), axis=0).reshape(n, -1, ch)
+    g01 = flat.take((y0 + x1).ravel(), axis=0).reshape(n, -1, ch)
+    g10 = flat.take((y1 + x0).ravel(), axis=0).reshape(n, -1, ch)
+    g11 = flat.take((y1 + x1).ravel(), axis=0).reshape(n, -1, ch)
+    g01 -= g00
+    g01 *= fx
+    g01 += g00
+    g11 -= g10
+    g11 *= fx
+    g11 += g10
+    g11 -= g01
+    g11 *= fy
+    g11 += g01
+    return g11.reshape(n, side, side, ch)
+
+
+def augment_batch_reference(images, rng_seeds, policy=AugmentPolicy()):
+    """``augment_batch`` with a reflected index per corner and pixel: a
+    full-size coordinate grid, four mod/min reflection passes and four
+    gathers over the (N*H*W, C) stack.  The fast path must match it bit
+    for bit."""
+    side = images[0].width
+    ch = images[0].channels
+    n = len(images)
+    flips, angles, dys, dxs = imaging._draw_augment_params(rng_seeds, policy, side)
+    noop = ~flips & (angles == 0.0) & (dys == 0.0) & (dxs == 0.0)
+
+    c = (side - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(side, dtype=float), np.arange(side, dtype=float), indexing="ij")
+    yr = ys[None, :, :] - c - dys[:, None, None]
+    xr = xs[None, :, :] - c - dxs[:, None, None]
+    cos_a = np.cos(angles)[:, None, None]
+    sin_a = np.sin(angles)[:, None, None]
+    ysrc = cos_a * yr + sin_a * xr + c
+    xsrc = -sin_a * yr + cos_a * xr + c
+    xsrc[flips] = (side - 1) - xsrc[flips]
+
+    stacked = np.stack([img.pixels for img in images])
+    out = _warp_bilinear_reflect_reference(
+        stacked.reshape(n * side * side, ch), n, side, ch, ysrc, xsrc
+    )
+    np.clip(out, 0.0, 1.0, out=out)
+    for i in np.nonzero(noop)[0]:
+        out[i] = images[i].pixels
+    return out
+
+
+REFERENCE_POLICIES = {
+    "default": AugmentPolicy(),
+    "identity": IDENTITY_POLICY,
+    "never_flip": AugmentPolicy(flip_p=0.0),
+    "always_flip": AugmentPolicy(flip_p=1.0),
+    "rotate_180": AugmentPolicy(max_rotation_deg=180.0),
+    # Shifts of up to 2.5 sides: the reflection wraps several times.
+    "wide_shift": AugmentPolicy(max_rotation_deg=180.0, max_shift_frac=2.5),
+}
+
+
+def _random_batch(rng, n, side, channels, dtype):
+    return [Image(rng.uniform(0.0, 1.0, (side, side, channels)).astype(dtype)) for _ in range(n)]
+
+
+def _assert_matches_reference(images, seeds, policy):
+    got = augment_batch(images, seeds, policy)
+    want = augment_batch_reference(images, seeds, policy)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 17, 64])
+@pytest.mark.parametrize("policy", list(REFERENCE_POLICIES.values()), ids=list(REFERENCE_POLICIES))
+def test_augment_batch_matches_reference(policy, side):
+    rng = np.random.default_rng(side)
+    for channels in (1, 3):
+        for dtype in (np.float32, np.float64):
+            for n in (1, 16):
+                images = _random_batch(rng, n, side, channels, dtype)
+                seeds = [int(s) for s in rng.integers(0, 2**32, n)]
+                _assert_matches_reference(images, seeds, policy)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    side=st.integers(1, 40),
+    channels=st.sampled_from([1, 3]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    n=st.integers(1, 9),
+    flip_p=st.floats(0.0, 1.0),
+    max_rotation_deg=st.floats(0.0, 180.0),
+    max_shift_frac=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_augment_batch_matches_reference_property(
+    side, channels, dtype, n, flip_p, max_rotation_deg, max_shift_frac, seed
+):
+    rng = np.random.default_rng(seed)
+    images = _random_batch(rng, n, side, channels, dtype)
+    seeds = [np.random.SeedSequence((seed, i)) for i in range(n)]
+    _assert_matches_reference(
+        images, seeds, AugmentPolicy(flip_p, max_rotation_deg, max_shift_frac)
+    )
+
+
+def test_augment_returns_a_contiguous_image():
+    # augment_batch returns a view of channel planes; augment copies its
+    # one image out into an ordinary (H, W, C) raster.
+    img = random_texture(0, side=16)
+    assert augment(img, 0).pixels.flags.c_contiguous
+
+
+def test_augment_batch_rejects_seed_count_mismatch():
+    imgs = [random_texture(s, side=8) for s in range(3)]
+    for seeds in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError, match="3 images but"):
+            augment_batch(imgs, seeds)
+    with pytest.raises(ValueError):
+        augment_batch([], [0])
+
+
+def test_augment_batch_rejects_mixed_channel_counts():
+    imgs = [random_texture(0, side=8, channels=3), random_texture(1, side=8, channels=1)]
+    with pytest.raises(ValueError):
+        augment_batch(imgs, [0, 1])
 
 
 # --- degradations ---
