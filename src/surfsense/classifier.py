@@ -157,9 +157,21 @@ def init_params(
 
 # --- conv primitives (stride-2 3x3, zero padding 1) -------------------------
 #
-# The full 3x3 conv runs as one im2col GEMM; depthwise taps are plain
-# broadcast multiplies.  Column layout is (N, 9*C, P) with the tap index
-# major so col2im can scatter per tap.
+# Trunk activations live in channel-major (C, N, H, W) buffers, and every
+# kernel takes and returns (N, C, H, W)-shaped views of them (``_swap``).
+# The stem's im2col and every weight or input gradient of a 1x1 conv is
+# one 2-D GEMM over (C, N*H*W) with no transposed copy; the stem's column
+# matrix is (9*C, N*H'*W'), tap index major.  Depthwise taps are plain
+# broadcast multiplies.  Bias and depthwise weight gradients sum in the
+# order numpy uses for a C-ordered (N, C, H, W) array (``_sum_nhw``), so
+# results equal those of per-sample (N, C, H, W) kernels bit for bit
+# wherever the last map is larger than 1x1 (the tests keep such kernels
+# as the reference).
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    """The (C, N, H, W) view of an (N, C, H, W) array, and back."""
+    return x.transpose(1, 0, 2, 3)
 
 
 def _pad1(x: np.ndarray) -> np.ndarray:
@@ -175,92 +187,81 @@ def _tap_slice(k: int, ho: int, wo: int):
     return np.s_[:, :, ki : ki + 2 * ho - 1 : 2, kj : kj + 2 * wo - 1 : 2]
 
 
-def _im2col(xp: np.ndarray, ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[0], xp.shape[1]
-    cols = np.empty((n, 9 * c, ho * wo), dtype=xp.dtype)
-    for k in range(9):
-        cols[:, k * c : (k + 1) * c, :] = xp[_tap_slice(k, ho, wo)].reshape(n, c, -1)
-    return cols
+def _sum_nhw(xc: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a channel-major (C, N, H, W) array, in numpy's
+    order for ``sum(axis=(0, 2, 3))`` of a C-ordered (N, C, H, W) one: a
+    pairwise sum over each H*W block, then a sequential sum over N."""
+    c, n = xc.shape[:2]
+    blocks = xc.reshape(c, n, -1).sum(axis=-1)
+    return np.add.accumulate(blocks, axis=1)[:, -1]
 
 
 def conv3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n, c, h, wd = x.shape
     ho, wo = _out_hw(h, wd)
-    cols = _im2col(_pad1(x), ho, wo)
-    w2 = w.transpose(0, 2, 3, 1).reshape(w.shape[0], 9 * c)  # tap-major
-    out = (w2 @ cols).reshape(n, w.shape[0], ho, wo)
-    out += b[None, :, None, None]
-    return out, cols
-
-
-def conv3x3s2_backward(
-    dout: np.ndarray, cols: np.ndarray, w: np.ndarray, x_shape, need_dx: bool = True
-):
-    n, c, h, wd = x_shape
-    o = w.shape[0]
-    ho, wo = dout.shape[2], dout.shape[3]
-    p = ho * wo
-    dout2 = dout.reshape(n, o, p)
-    w2 = w.transpose(0, 2, 3, 1).reshape(o, 9 * c)
-
-    dflat = dout2.transpose(1, 0, 2).reshape(o, n * p)
-    cflat = cols.transpose(1, 0, 2).reshape(9 * c, n * p)
-    dw = (dflat @ cflat.T).reshape(o, 3, 3, c).transpose(0, 3, 1, 2)
-    db = dout.sum(axis=(0, 2, 3))
-    if not need_dx:
-        return None, dw, db
-
-    dcols = np.matmul(w2.T, dout2)  # (n, 9c, p)
-    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dout.dtype)
+    xp = _pad1(_swap(x))
+    cols = np.empty((9, c, n, ho, wo), dtype=xp.dtype)
     for k in range(9):
-        dxp[_tap_slice(k, ho, wo)] += dcols[:, k * c : (k + 1) * c, :].reshape(n, c, ho, wo)
-    return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, db
+        cols[k] = xp[_tap_slice(k, ho, wo)]
+    cols = cols.reshape(9 * c, n * ho * wo)
+    w2 = w.transpose(0, 2, 3, 1).reshape(w.shape[0], 9 * c)  # tap-major
+    out = w2 @ cols
+    out += b[:, None]
+    return _swap(out.reshape(-1, n, ho, wo)), cols
+
+
+def conv3x3s2_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
+    """Weight and bias gradients of the stem; the trunk's input needs no
+    gradient."""
+    o, c = w.shape[:2]
+    dc = _swap(dout)
+    dw = (dc.reshape(o, -1) @ cols.T).reshape(o, 3, 3, c).transpose(0, 3, 1, 2)
+    return dw, _sum_nhw(dc)
 
 
 def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n, c, h, wd = x.shape
     ho, wo = _out_hw(h, wd)
-    xp = _pad1(x)
-    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    xp = _pad1(_swap(x))
+    out = np.zeros((c, n, ho, wo), dtype=x.dtype)
     for k in range(9):
         ki, kj = divmod(k, 3)
-        out += w[None, :, ki, kj, None, None] * xp[_tap_slice(k, ho, wo)]
-    out += b[None, :, None, None]
-    return out, xp
+        out += w[:, ki, kj, None, None, None] * xp[_tap_slice(k, ho, wo)]
+    out += b[:, None, None, None]
+    return _swap(out), xp
 
 
 def depthwise3x3s2_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, x_shape):
     n, c, h, wd = x_shape
     ho, wo = dout.shape[2], dout.shape[3]
+    dc = _swap(dout)
     dw = np.zeros_like(w)
     dxp = np.zeros_like(xp)
     for k in range(9):
         ki, kj = divmod(k, 3)
         sl = _tap_slice(k, ho, wo)
-        dw[:, ki, kj] = (dout * xp[sl]).sum(axis=(0, 2, 3))
-        dxp[sl] += w[None, :, ki, kj, None, None] * dout
-    db = dout.sum(axis=(0, 2, 3))
-    return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, db
+        dw[:, ki, kj] = _sum_nhw(dc * xp[sl])
+        dxp[sl] += w[:, ki, kj, None, None, None] * dc
+    return _swap(dxp[:, :, 1 : h + 1, 1 : wd + 1]), dw, _sum_nhw(dc)
 
 
 def pointwise_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, c, h, wd = x.shape
-    out = np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, w.shape[0], h, wd)
-    return out + b[None, :, None, None]
+    out = np.empty((w.shape[0], n, h * wd), dtype=x.dtype)
+    # One GEMM per sample, written into the channel-major output: a single
+    # (C, N*H*W) GEMM rounds differently on small maps (2x2 with 32 inputs).
+    np.matmul(w, x.reshape(n, c, -1), out=out.transpose(1, 0, 2))
+    out += b[:, None, None]
+    return _swap(out.reshape(-1, n, h, wd))
 
 
 def pointwise_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
     n, c, h, wd = x.shape
-    o = w.shape[0]
-    p = h * wd
-    dout2 = dout.reshape(n, o, p)
-    x2 = x.reshape(n, c, p)
-    dw = np.matmul(
-        dout2.transpose(1, 0, 2).reshape(o, n * p), x2.transpose(1, 0, 2).reshape(c, n * p).T
-    )
-    db = dout.sum(axis=(0, 2, 3))
-    dx = np.matmul(w.T, dout2).reshape(n, c, h, wd)
-    return dx, dw, db
+    dc = _swap(dout)
+    d2 = dc.reshape(w.shape[0], -1)
+    dw = d2 @ _swap(x).reshape(c, -1).T
+    dx = (w.T @ d2).reshape(c, n, h, wd)
+    return _swap(dx), dw, _sum_nhw(dc)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -278,42 +279,42 @@ def _apply_input_norm(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def _forward_trunk(params: ModelParams, x: np.ndarray, want_cache: bool):
+def _forward_trunk(
+    params: ModelParams, x: np.ndarray, want_cache: bool, preacts: Optional[list] = None
+):
+    """Pooled features of an (N, C, H, W) batch.  The activations between
+    kernels are channel-major; ``preacts``, if given, collects every
+    ReLU's input."""
     t = params.tensors
     x = _apply_input_norm(params, x)
-    cache: Dict[str, object] = {"x_shape": x.shape}
-    # Distance of the nearest pre-activation to the ReLU kink; gradient
-    # checks need this to exceed the finite-difference step.
-    margin = np.inf
+    cache: Dict[str, object] = {}
+
+    def relu(z):
+        zc = _swap(z)
+        if preacts is not None:
+            preacts.append(zc)
+        mask = zc > 0
+        return zc * mask, mask
 
     a, cols = conv3x3s2_forward(x, t["stem_w"], t["stem_b"])
-    mask = a > 0
+    a, mask = relu(a)
     if want_cache:
-        margin = min(margin, float(np.abs(a).min()))
         cache["stem"] = (cols, mask)
-    a = a * mask
 
     for bi in (1, 2, 3):
-        pre_shape = a.shape
-        d, xp = depthwise3x3s2_forward(a, t[f"dw{bi}_w"], t[f"dw{bi}_b"])
-        dmask = d > 0
+        x = _swap(a)
+        d, xp = depthwise3x3s2_forward(x, t[f"dw{bi}_w"], t[f"dw{bi}_b"])
+        d, dmask = relu(d)
+        a, pmask = relu(pointwise_forward(_swap(d), t[f"pw{bi}_w"], t[f"pw{bi}_b"]))
         if want_cache:
-            margin = min(margin, float(np.abs(d).min()))
-        d = d * dmask
-        p = pointwise_forward(d, t[f"pw{bi}_w"], t[f"pw{bi}_b"])
-        pmask = p > 0
-        if want_cache:
-            margin = min(margin, float(np.abs(p).min()))
-        a = p * pmask
-        if want_cache:
-            cache[f"block{bi}"] = (pre_shape, xp, dmask, d, pmask)
-    if want_cache:
-        cache["relu_margin"] = margin
+            cache[f"block{bi}"] = (x.shape, xp, dmask, d, pmask)
 
+    c, n = a.shape[:2]
     hw = a.shape[2] * a.shape[3]
-    feat = a.mean(axis=(2, 3))
+    # C-ordered (N, C) rows: the head GEMMs round differently on a transposed view.
+    feat = np.ascontiguousarray(a.reshape(c, n, hw).mean(axis=-1).T)
     if want_cache:
-        cache["gap"] = (a.shape, hw)
+        cache["gap"] = hw
     return feat, cache
 
 
@@ -413,27 +414,20 @@ def _loss_grad(
     grads["head_material_b"] = dlogits_m.sum(axis=0)
     dfeat = dlogits_o @ t["head_object_w"] + dlogits_m @ t["head_material_w"]
 
-    a_shape, hw = cache["gap"]
-    da = np.broadcast_to(dfeat[:, :, None, None] / hw, a_shape).astype(params.dtype)
-
+    # Channel-major gradient of the last activation, broadcast over H, W.
+    da = (dfeat.T / cache["gap"])[:, :, None, None]
     for bi in (3, 2, 1):
-        pre_shape, xp, dmask, d, pmask = cache[f"block{bi}"]
-        dp = da * pmask
-        dd, dw_pw, db_pw = pointwise_backward(dp, d, t[f"pw{bi}_w"])
-        grads[f"pw{bi}_w"] = dw_pw
-        grads[f"pw{bi}_b"] = db_pw
-        dd = dd * dmask
-        da, dw_dw, db_dw = depthwise3x3s2_backward(dd, xp, t[f"dw{bi}_w"], pre_shape)
-        grads[f"dw{bi}_w"] = dw_dw
-        grads[f"dw{bi}_b"] = db_dw
+        x_shape, xp, dmask, d, pmask = cache[f"block{bi}"]
+        dd, grads[f"pw{bi}_w"], grads[f"pw{bi}_b"] = pointwise_backward(
+            _swap(da * pmask), _swap(d), t[f"pw{bi}_w"]
+        )
+        da, grads[f"dw{bi}_w"], grads[f"dw{bi}_b"] = depthwise3x3s2_backward(
+            _swap(_swap(dd) * dmask), xp, t[f"dw{bi}_w"], x_shape
+        )
+        da = _swap(da)
 
     cols, mask = cache["stem"]
-    da = da * mask
-    _, dw_stem, db_stem = conv3x3s2_backward(
-        da, cols, t["stem_w"], cache["x_shape"], need_dx=False
-    )
-    grads["stem_w"] = dw_stem
-    grads["stem_b"] = db_stem
+    grads["stem_w"], grads["stem_b"] = conv3x3s2_backward(_swap(da * mask), cols, t["stem_w"])
 
     return loss, grads, per_sample
 
@@ -456,8 +450,9 @@ def relu_kink_margin(params: ModelParams, x: np.ndarray) -> float:
     Finite-difference gradient checks are only meaningful when the step
     size stays well below this margin (no activation mask flips).
     """
-    _, cache = _forward_trunk(params, x.astype(params.dtype, copy=False), want_cache=True)
-    return float(cache["relu_margin"])
+    preacts: List[np.ndarray] = []
+    _forward_trunk(params, x.astype(params.dtype, copy=False), want_cache=False, preacts=preacts)
+    return float(min(np.abs(z).min() for z in preacts))
 
 
 def per_sample_losses(params: ModelParams, records: Sequence) -> np.ndarray:
@@ -582,7 +577,7 @@ def train(
                 if extra is not None:
                     ex, eo, em = extra
                     if ex.shape[0]:
-                        x = np.concatenate([x, ex])
+                        x = _swap(np.concatenate([_swap(x), _swap(ex)], axis=1))
                         y_obj = np.concatenate([y_obj, eo])
                         y_mat = np.concatenate([y_mat, em])
             loss, grads, per_sample = _loss_grad(params, x, y_obj, y_mat)
@@ -665,30 +660,44 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path, dtype=np.float32) -> ModelParams:
+    """Read a :func:`save_checkpoint` file.  A short file raises
+    ``ValueError("<path>: truncated in <field>")``; bytes after the last
+    tensor are rejected too."""
     with open(path, "rb") as fp:
-        if fp.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        (version,) = struct.unpack("<I", fp.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        maps = []
-        for _ in range(2):
-            (n,) = struct.unpack("<I", fp.read(4))
-            maps.append(struct.unpack(f"<{n}I", fp.read(4 * n)))
-        (n_tensors,) = struct.unpack("<I", fp.read(4))
-        manifest = []
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", fp.read(2))
-            name = fp.read(name_len).decode("ascii")
-            (ndim,) = struct.unpack("<B", fp.read(1))
-            shape = struct.unpack(f"<{ndim}I", fp.read(4 * ndim))
-            manifest.append((name, shape))
-        tensors = {}
-        for name, shape in manifest:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fp.read(4 * count)
-            if len(raw) != 4 * count:
-                raise ValueError("truncated checkpoint")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
-    return ModelParams(tensors, tuple(maps[0]), tuple(maps[1]))
+        data = fp.read()
+    pos = 0
 
+    def unpack(fmt: str, field: str) -> tuple:
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(data):
+            raise ValueError(f"{path}: truncated in {field}")
+        pos += size
+        return struct.unpack_from(fmt, data, pos - size)
+
+    if data[:4] != CHECKPOINT_MAGIC[: len(data)]:
+        raise ValueError(f"{path}: not a checkpoint file")
+    unpack("<4s", "magic")
+    (version,) = unpack("<I", "version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    maps = []
+    for head in ("object", "material"):
+        (n,) = unpack("<I", f"{head} class count")
+        maps.append(unpack(f"<{n}I", f"{head} classes"))
+    (n_tensors,) = unpack("<I", "tensor count")
+    manifest = []
+    for i in range(n_tensors):
+        (name_len,) = unpack("<H", f"name length of tensor {i}")
+        (raw,) = unpack(f"<{name_len}s", f"name of tensor {i}")
+        name = raw.decode("ascii")
+        (ndim,) = unpack("<B", f"rank of {name}")
+        manifest.append((name, unpack(f"<{ndim}I", f"shape of {name}")))
+    tensors = {}
+    for name, shape in manifest:
+        count = int(np.prod(shape)) if shape else 1
+        (raw,) = unpack(f"<{4 * count}s", f"data of {name}")
+        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} trailing bytes after the last tensor")
+    return ModelParams(tensors, tuple(maps[0]), tuple(maps[1]))

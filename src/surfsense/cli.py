@@ -319,24 +319,36 @@ def cmd_evaluate(cfg: Dict[str, object], out: OutputDir) -> int:
 
 
 def _read_task_stream(path: Path) -> List[Task]:
+    """One ``task_id train_manifest eval_manifest`` line per task, manifest
+    paths relative to the stream file; every error names ``path:line``."""
     tasks = []
     base = path.parent
+    mapping = synth.extended_mapping()
     with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
+        for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = line.split()
             if len(parts) != 3:
                 raise ConfigError(
-                    f"task stream line must be 'task_id train_manifest eval_manifest': {line!r}"
+                    f"{where}: expected 'task_id train_manifest eval_manifest', "
+                    f"got {len(parts)} fields"
                 )
-            task_id = int(parts[0])
-            train_manifest = base / parts[1]
-            eval_manifest = base / parts[2]
-            mapping = synth.extended_mapping()
-            train_c = corpus_mod.read_manifest(train_manifest, train_manifest.parent, mapping=mapping)
-            eval_c = corpus_mod.read_manifest(eval_manifest, eval_manifest.parent, mapping=mapping)
+            try:
+                task_id = int(parts[0])
+            except ValueError:
+                raise ConfigError(
+                    f"{where}: task id must be an integer, got {parts[0]!r}"
+                ) from None
+            try:
+                train_c, eval_c = (
+                    corpus_mod.read_manifest(base / rel, (base / rel).parent, mapping=mapping)
+                    for rel in parts[1:]
+                )
+            except OSError as exc:
+                raise ConfigError(f"{where}: cannot read {exc.filename}: {exc.strerror}") from exc
             tasks.append(Task(task_id, tuple(train_c.records), tuple(eval_c.records)))
     return tasks
 

@@ -197,6 +197,231 @@ def test_argmax_ties_break_to_lowest_index():
     assert pred.top1_material == 1
 
 
+# --- reference NCHW trunk ---
+#
+# The kernels and loss gradient as they were before activations moved to
+# channel-major buffers: every activation a C-ordered (N, C, H, W) array,
+# one GEMM per sample.  The library's trunk must match them bit for bit on
+# the shapes the workloads run.
+
+
+def _ref_tap_slice(k, ho, wo):
+    ki, kj = divmod(k, 3)
+    return np.s_[:, :, ki : ki + 2 * ho - 1 : 2, kj : kj + 2 * wo - 1 : 2]
+
+
+def _ref_pad1(x):
+    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+
+
+def ref_conv3x3s2_forward(x, w, b):
+    n, c, h, wd = x.shape
+    ho, wo = (h + 1) // 2, (wd + 1) // 2
+    xp = _ref_pad1(x)
+    cols = np.empty((n, 9 * c, ho * wo), dtype=xp.dtype)
+    for k in range(9):
+        cols[:, k * c : (k + 1) * c, :] = xp[_ref_tap_slice(k, ho, wo)].reshape(n, c, -1)
+    w2 = w.transpose(0, 2, 3, 1).reshape(w.shape[0], 9 * c)
+    out = (w2 @ cols).reshape(n, w.shape[0], ho, wo)
+    out += b[None, :, None, None]
+    return out, cols
+
+
+def ref_conv3x3s2_backward(dout, cols, w):
+    n, o = dout.shape[:2]
+    c = w.shape[1]
+    p = dout.shape[2] * dout.shape[3]
+    dflat = dout.reshape(n, o, p).transpose(1, 0, 2).reshape(o, n * p)
+    cflat = cols.transpose(1, 0, 2).reshape(9 * c, n * p)
+    dw = (dflat @ cflat.T).reshape(o, 3, 3, c).transpose(0, 3, 1, 2)
+    return dw, dout.sum(axis=(0, 2, 3))
+
+
+def ref_depthwise3x3s2_forward(x, w, b):
+    n, c, h, wd = x.shape
+    ho, wo = (h + 1) // 2, (wd + 1) // 2
+    xp = _ref_pad1(x)
+    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    for k in range(9):
+        ki, kj = divmod(k, 3)
+        out += w[None, :, ki, kj, None, None] * xp[_ref_tap_slice(k, ho, wo)]
+    out += b[None, :, None, None]
+    return out, xp
+
+
+def ref_depthwise3x3s2_backward(dout, xp, w, x_shape):
+    n, c, h, wd = x_shape
+    ho, wo = dout.shape[2], dout.shape[3]
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for k in range(9):
+        ki, kj = divmod(k, 3)
+        sl = _ref_tap_slice(k, ho, wo)
+        dw[:, ki, kj] = (dout * xp[sl]).sum(axis=(0, 2, 3))
+        dxp[sl] += w[None, :, ki, kj, None, None] * dout
+    return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, dout.sum(axis=(0, 2, 3))
+
+
+def ref_pointwise_forward(x, w, b):
+    n, c, h, wd = x.shape
+    out = np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, w.shape[0], h, wd)
+    return out + b[None, :, None, None]
+
+
+def ref_pointwise_backward(dout, x, w):
+    n, c, h, wd = x.shape
+    o, p = w.shape[0], h * wd
+    dout2 = dout.reshape(n, o, p)
+    x2 = x.reshape(n, c, p)
+    dw = np.matmul(
+        dout2.transpose(1, 0, 2).reshape(o, n * p), x2.transpose(1, 0, 2).reshape(c, n * p).T
+    )
+    dx = np.matmul(w.T, dout2).reshape(n, c, h, wd)
+    return dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+def ref_forward_trunk(params, x):
+    """Pooled features, the cache for the backward pass and the smallest
+    |pre-activation| over all seven ReLUs."""
+    t = params.tensors
+    a, cols = ref_conv3x3s2_forward(x, t["stem_w"], t["stem_b"])
+    margin = float(np.abs(a).min())
+    mask = a > 0
+    cache = {"stem": (cols, mask)}
+    a = a * mask
+    for bi in (1, 2, 3):
+        pre_shape = a.shape
+        d, xp = ref_depthwise3x3s2_forward(a, t[f"dw{bi}_w"], t[f"dw{bi}_b"])
+        dmask = d > 0
+        margin = min(margin, float(np.abs(d).min()))
+        d = d * dmask
+        p = ref_pointwise_forward(d, t[f"pw{bi}_w"], t[f"pw{bi}_b"])
+        pmask = p > 0
+        margin = min(margin, float(np.abs(p).min()))
+        a = p * pmask
+        cache[f"block{bi}"] = (pre_shape, xp, dmask, d, pmask)
+    cache["gap"] = (a.shape, a.shape[2] * a.shape[3])
+    return a.mean(axis=(2, 3)), cache, margin
+
+
+def ref_loss_grad(params, x, y_obj, y_mat):
+    """Loss, gradients, per-sample losses and both heads' logits."""
+    n = x.shape[0]
+    t = params.tensors
+    feat, cache, _ = ref_forward_trunk(params, x)
+    logits_o = feat @ t["head_object_w"].T + t["head_object_b"]
+    logits_m = feat @ t["head_material_w"].T + t["head_material_b"]
+    p_o, p_m = C.softmax(logits_o), C.softmax(logits_m)
+    uo = C._unit_index(params.object_classes, y_obj)
+    um = C._unit_index(params.material_classes, y_mat)
+    per_sample = C._joint_ce(p_o, p_m, uo, um)
+    grads = {}
+    dlogits_o = p_o.copy()
+    dlogits_o[np.arange(n), uo] -= 1.0
+    dlogits_o /= n
+    dlogits_m = p_m.copy()
+    dlogits_m[np.arange(n), um] -= 1.0
+    dlogits_m /= n
+    grads["head_object_w"] = dlogits_o.T @ feat
+    grads["head_object_b"] = dlogits_o.sum(axis=0)
+    grads["head_material_w"] = dlogits_m.T @ feat
+    grads["head_material_b"] = dlogits_m.sum(axis=0)
+    dfeat = dlogits_o @ t["head_object_w"] + dlogits_m @ t["head_material_w"]
+    a_shape, hw = cache["gap"]
+    da = np.broadcast_to(dfeat[:, :, None, None] / hw, a_shape).astype(params.dtype)
+    for bi in (3, 2, 1):
+        pre_shape, xp, dmask, d, pmask = cache[f"block{bi}"]
+        dd, grads[f"pw{bi}_w"], grads[f"pw{bi}_b"] = ref_pointwise_backward(
+            da * pmask, d, t[f"pw{bi}_w"]
+        )
+        da, grads[f"dw{bi}_w"], grads[f"dw{bi}_b"] = ref_depthwise3x3s2_backward(
+            dd * dmask, xp, t[f"dw{bi}_w"], pre_shape
+        )
+    cols, mask = cache["stem"]
+    grads["stem_w"], grads["stem_b"] = ref_conv3x3s2_backward(da * mask, cols, t["stem_w"])
+    return float(per_sample.mean()), grads, per_sample, (logits_o, logits_m)
+
+
+def trunk_case(n, side, dtype=np.float32, seed=0):
+    """Seeded params with biases offset so every ReLU sees both signs, a
+    batch held channel-major as training holds it, and labels."""
+    rng = np.random.default_rng((seed, n, side))
+    p = init_params(seed=seed, dtype=dtype)
+    for name in p.tensor_names():
+        if name.endswith("_b"):
+            p.tensors[name] += rng.normal(0.0, 0.05, p.tensors[name].shape).astype(dtype)
+    x = rng.uniform(0.0, 1.0, (3, n, side, side)).astype(dtype).transpose(1, 0, 2, 3)
+    return p, x, rng.integers(1, 7, n), rng.integers(1, 10, n)
+
+
+def trunk_outputs(p, x, yo, ym):
+    loss, grads, per_sample = C._loss_grad(p, x, yo, ym)
+    return loss, grads, per_sample, C.head_logits_batch(p, x)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (N, side) of every batch the workloads train or predict on: 64-px
+# training steps of 1, 16 and 32 images, 64-image prediction chunks and a
+# short last chunk, the 224-px capture, and the 32-px CLI runs.
+WORKLOAD_SHAPES = [(1, 64), (16, 64), (32, 64), (64, 64), (23, 64), (1, 224), (16, 32)]
+
+
+@pytest.mark.parametrize("n,side", WORKLOAD_SHAPES)
+def test_trunk_matches_nchw_reference_bit_for_bit(n, side):
+    p, x, yo, ym = trunk_case(n, side)
+    want = ref_loss_grad(p, np.ascontiguousarray(x), yo, ym)
+    for batch in (x, np.ascontiguousarray(x)):  # channel-major and C-ordered input
+        loss, grads, per_sample, logits = trunk_outputs(p, batch, yo, ym)
+        assert loss == want[0]
+        assert same_bits(per_sample, want[2])
+        assert grads.keys() == want[1].keys()
+        for name in grads:
+            assert same_bits(grads[name], want[1][name]), name
+        assert same_bits(logits[0], want[3][0]) and same_bits(logits[1], want[3][1])
+
+
+# Other shapes agree within float rounding.  With OpenBLAS 0.3.31 on
+# Haswell kernels, the float32 shapes whose last map is 1x1 (side <= 16)
+# differ in the last bits: one (C, N) GEMM for pw3's input gradient rounds
+# differently from N matrix-vector products.  So does the float64 stem
+# GEMM at 12 px.  N = 3 at 17, 32 and 224 px matches bit for bit.
+@pytest.mark.parametrize(
+    "n,side,dtype",
+    [
+        (3, 17, np.float32),
+        (3, 32, np.float32),
+        (3, 224, np.float32),
+        (5, 9, np.float32),
+        (6, 16, np.float32),
+        (4, 3, np.float32),
+        (2, 1, np.float32),
+        (2, 12, np.float64),
+    ],
+)
+def test_trunk_matches_nchw_reference_on_other_shapes(n, side, dtype):
+    p, x, yo, ym = trunk_case(n, side, dtype)
+    want = ref_loss_grad(p, np.ascontiguousarray(x), yo, ym)
+    loss, grads, per_sample, logits = trunk_outputs(p, x, yo, ym)
+    tol = dict(rtol=1e-4, atol=1e-6) if dtype == np.float32 else dict(rtol=1e-10, atol=1e-13)
+    assert np.isclose(loss, want[0], **tol)
+    assert np.allclose(per_sample, want[2], **tol)
+    for name in grads:
+        assert np.allclose(grads[name], want[1][name], **tol), name
+    assert np.allclose(logits[0], want[3][0], **tol) and np.allclose(logits[1], want[3][1], **tol)
+
+
+def test_relu_kink_margin_is_smallest_reference_preactivation():
+    p, x, _, _ = trunk_case(16, 64)
+    _, _, margin = ref_forward_trunk(p, np.ascontiguousarray(x))
+    assert relu_kink_margin(p, x) == margin
+    p, x, _, _ = grad_check_point()
+    assert relu_kink_margin(p, x) == pytest.approx(ref_forward_trunk(p, x)[2], rel=1e-9)
+
+
 # --- training ---
 
 
@@ -351,6 +576,34 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_cut_anywhere_names_file_and_field(tmp_path):
+    p = C.ModelParams(
+        {"stem_w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(2, np.float32)},
+        (1, 4),
+        (2,),
+    )
+    path = tmp_path / "small.bin"
+    save_checkpoint(p, path)
+    full = path.read_bytes()
+    cut_path = tmp_path / "cut.bin"
+    fields = set()
+    for offset in range(len(full)):
+        cut_path.write_bytes(full[:offset])
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(cut_path)
+        prefix = f"{cut_path}: truncated in "
+        assert str(exc.value).startswith(prefix), (offset, str(exc.value))
+        fields.add(str(exc.value)[len(prefix) :])
+    assert {"magic", "version", "object classes", "tensor count", "data of b"} <= fields
+    cut_path.write_bytes(full + b"\0")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        load_checkpoint(cut_path)
+    cut_path.write_bytes(full)
+    back = load_checkpoint(cut_path)
+    assert back.object_classes == (1, 4) and back.material_classes == (2,)
+    assert np.array_equal(back.tensors["stem_w"], p.tensors["stem_w"])
 
 
 def test_standardize_option_trains_and_roundtrips(tmp_path):

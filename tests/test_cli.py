@@ -248,3 +248,28 @@ def test_commands_do_not_mutate_inputs(tmp_path):
     )
     assert run(["train", tmp_path / "t.txt"]) == 0
     assert tree_digest(gen_out) == before
+
+
+def test_task_stream_errors_name_path_and_line(tmp_path):
+    import pytest
+
+    from surfsense.cli import ConfigError, _read_task_stream
+
+    gen = write_config(
+        tmp_path / "g.txt", out_dir=tmp_path / "gen", images_per_class=1, persons=1, side=8, seed=6
+    )
+    assert run(["gen-corpus", gen]) == 0
+    good = "gen/corpus/manifest.txt"
+    stream = tmp_path / "stream.txt"
+    cases = [
+        (f"1 {good}\n", "expected 'task_id train_manifest eval_manifest', got 2 fields"),
+        (f"one {good} {good}\n", "task id must be an integer, got 'one'"),
+        (f"1 {good} missing.txt\n", f"cannot read {tmp_path / 'missing.txt'}"),
+    ]
+    for body, message in cases:
+        stream.write_text(f"# tasks\n1 {good} {good}\n\n" + body)
+        with pytest.raises(ConfigError) as exc:
+            _read_task_stream(stream)
+        assert str(exc.value).startswith(f"{stream}:4: {message}")
+    stream.write_text(f"1 {good} {good}\n")
+    assert [t.task_id for t in _read_task_stream(stream)] == [1]
