@@ -239,12 +239,27 @@ def depthwise3x3s2_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, x_s
     ho, wo = dout.shape[2], dout.shape[3]
     dc = _swap(dout)
     dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
     for k in range(9):
         ki, kj = divmod(k, 3)
-        sl = _tap_slice(k, ho, wo)
-        dw[:, ki, kj] = _sum_nhw(dc * xp[sl])
-        dxp[sl] += w[:, ki, kj, None, None, None] * dc
+        dw[:, ki, kj] = _sum_nhw(dc * xp[_tap_slice(k, ho, wo)])
+    # Tap (ki, kj) adds into phase (ki % 2, kj % 2) of the padded input
+    # gradient, shifted by (ki // 2, kj // 2).  With ``dc`` on a zero-edged
+    # (ho + 1, wo + 1) grid that shift is one flat offset, so each tap is a
+    # single contiguous add, and every element still takes its taps in
+    # order k = 0..8 starting from zero.
+    grid = np.zeros((c, n, ho + 1, wo + 1), dtype=dc.dtype)
+    grid[:, :, :ho, :wo] = dc
+    grid = grid.reshape(c, -1)
+    tap = np.empty_like(grid)
+    dxp = np.empty((c, n, 2 * ho + 2, 2 * wo + 2), dtype=dc.dtype)
+    for pi, pj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        phase = np.zeros_like(grid)
+        for ki in range(pi, 3, 2):
+            for kj in range(pj, 3, 2):
+                off = (ki // 2) * (wo + 1) + kj // 2
+                np.multiply(w[:, ki, kj, None], grid, out=tap)
+                phase[:, off:] += tap[:, : tap.shape[1] - off]
+        dxp[:, :, pi::2, pj::2] = phase.reshape(c, n, ho + 1, wo + 1)
     return _swap(dxp[:, :, 1 : h + 1, 1 : wd + 1]), dw, _sum_nhw(dc)
 
 
