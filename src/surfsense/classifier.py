@@ -708,6 +708,8 @@ def load_checkpoint(path, dtype=np.float32) -> ModelParams:
     for i in range(n_tensors):
         (name_len,) = unpack("<H", f"name length of tensor {i}")
         (raw,) = unpack(f"<{name_len}s", f"name of tensor {i}")
+        if not raw.isascii():
+            raise ValueError(f"{path}: name of tensor {i} is not ASCII")
         name = raw.decode("ascii")
         (ndim,) = unpack("<B", f"rank of {name}")
         manifest.append((name, unpack(f"<{ndim}I", f"shape of {name}")))

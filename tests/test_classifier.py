@@ -600,6 +600,10 @@ def test_checkpoint_cut_anywhere_names_file_and_field(tmp_path):
     cut_path.write_bytes(full + b"\0")
     with pytest.raises(ValueError, match="1 trailing bytes"):
         load_checkpoint(cut_path)
+    name_at = full.index(b"stem_w")
+    cut_path.write_bytes(full[:name_at] + b"\xff" + full[name_at + 1 :])
+    with pytest.raises(ValueError, match="name of tensor 0 is not ASCII"):
+        load_checkpoint(cut_path)
     cut_path.write_bytes(full)
     back = load_checkpoint(cut_path)
     assert back.object_classes == (1, 4) and back.material_classes == (2,)
