@@ -320,7 +320,9 @@ def cmd_evaluate(cfg: Dict[str, object], out: OutputDir) -> int:
 
 def _read_task_stream(path: Path) -> List[Task]:
     """One ``task_id train_manifest eval_manifest`` line per task, manifest
-    paths relative to the stream file; every error names ``path:line``."""
+    paths relative to the stream file.  An error in the stream's own fields
+    (field count, task id, a manifest that is not a file) names ``path:line``;
+    errors inside a manifest are the manifest reader's own."""
     tasks = []
     base = path.parent
     mapping = synth.extended_mapping()
@@ -342,13 +344,13 @@ def _read_task_stream(path: Path) -> List[Task]:
                 raise ConfigError(
                     f"{where}: task id must be an integer, got {parts[0]!r}"
                 ) from None
-            try:
-                train_c, eval_c = (
-                    corpus_mod.read_manifest(base / rel, (base / rel).parent, mapping=mapping)
-                    for rel in parts[1:]
-                )
-            except OSError as exc:
-                raise ConfigError(f"{where}: cannot read {exc.filename}: {exc.strerror}") from exc
+            manifests = [base / rel for rel in parts[1:]]
+            for manifest in manifests:
+                if not manifest.is_file():
+                    raise ConfigError(f"{where}: cannot read {manifest}: not a file")
+            train_c, eval_c = (
+                corpus_mod.read_manifest(m, m.parent, mapping=mapping) for m in manifests
+            )
             tasks.append(Task(task_id, tuple(train_c.records), tuple(eval_c.records)))
     return tasks
 

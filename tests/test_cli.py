@@ -273,3 +273,29 @@ def test_task_stream_errors_name_path_and_line(tmp_path):
         assert str(exc.value).startswith(f"{stream}:4: {message}")
     stream.write_text(f"1 {good} {good}\n")
     assert [t.task_id for t in _read_task_stream(stream)] == [1]
+
+
+def test_cl_run_missing_image_in_manifest_is_runtime_error(tmp_path):
+    from surfsense import classifier
+
+    gen = write_config(
+        tmp_path / "g.txt", out_dir=tmp_path / "gen", images_per_class=1, persons=1, side=8, seed=6
+    )
+    assert run(["gen-corpus", gen]) == 0
+    manifest = tmp_path / "gen" / "corpus" / "manifest.txt"
+    first = manifest.read_text().split("\n", 1)[0]
+    (manifest.parent / first.split()[3]).unlink()
+    ckpt = tmp_path / "init.bin"
+    classifier.save_checkpoint(classifier.init_params(seed=6), ckpt)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1 gen/corpus/manifest.txt gen/corpus/manifest.txt\n")
+    cfg = write_config(
+        tmp_path / "c.txt",
+        out_dir=tmp_path / "cl",
+        checkpoint=ckpt,
+        task_stream=stream,
+        epochs=1,
+        buffer_capacity=4,
+    )
+    assert run(["cl-run", cfg]) == 1
+    assert not (tmp_path / "cl" / "checkpoint.bin").exists()

@@ -4,9 +4,8 @@
 
 For each seed, ``bench/run.py --workload W --seed S --seconds T --trace 0``
 runs once in each checkout; the side that runs first alternates from one
-pair to the next.  The end-to-end metrics and their direction come from
-``BENCHMARK.json`` next to this script, and ``--seconds`` defaults to its
-``run_seconds``.
+pair to the next.  The run length T, the end-to-end metrics and their
+direction come from ``BENCHMARK.json`` next to this script.
 
 One comparison is appended to ``BENCH_<workload>.json`` at the root of
 the repository holding this script: every run's end-to-end metrics and
@@ -95,8 +94,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 601-610")
-    parser.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     args = parser.parse_args(argv)
+    seconds = bench["run_seconds"]
 
     out_path = ROOT / f"BENCH_{args.workload}.json"
     doc = {"workload": args.workload, "comparisons": []}
@@ -104,7 +103,7 @@ def main(argv=None) -> int:
         doc = json.loads(out_path.read_text())
     entry = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed S "
-        f"--seconds {args.seconds:g} --trace 0",
+        f"--seconds {seconds} --trace 0",
         "pairs": [],
     }
     doc["comparisons"].append(entry)
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_bench(checkouts[side], args.workload, seed, args.seconds)
+            pair[side] = run_bench(checkouts[side], args.workload, seed, seconds)
             print(
                 f"seed {seed} {side}: op_p50_ms {pair[side]['metrics']['op_p50_ms']:.2f}",
                 file=sys.stderr,
