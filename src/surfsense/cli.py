@@ -20,7 +20,7 @@ import shutil
 from dataclasses import fields
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -160,12 +160,15 @@ def _train_config(cfg: Dict[str, object]) -> TrainConfig:
 
 
 def _trigger_config(cfg: Dict[str, object]) -> imu_trigger.TriggerConfig:
-    return imu_trigger.TriggerConfig(
-        la_thresh=cfg["la_thresh"],  # type: ignore[arg-type]
-        aa_thresh=cfg["aa_thresh"],  # type: ignore[arg-type]
-        tt=float(cfg["tt"]),
-        debounce_n=int(cfg["debounce_n"]),
-    )
+    try:
+        return imu_trigger.TriggerConfig(
+            la_thresh=cfg["la_thresh"],  # type: ignore[arg-type]
+            aa_thresh=cfg["aa_thresh"],  # type: ignore[arg-type]
+            tt=float(cfg["tt"]),
+            debounce_n=int(cfg["debounce_n"]),
+        )
+    except ValueError as exc:  # the message starts with the key at fault
+        raise ConfigError(f"bad trigger setting: {exc}") from None
 
 
 def _cl_config(cfg: Dict[str, object]) -> CLConfig:
@@ -203,6 +206,36 @@ def _parse_absences(raw: str) -> frozenset:
     return frozenset(cells)
 
 
+def _trace_events(
+    path: str, tcfg: imu_trigger.TriggerConfig
+) -> Tuple[int, List[imu_trigger.TriggerEvent]]:
+    """Sample count and trigger events of the trace file at ``path``.
+
+    The file streams line by line through the parser and the trigger, so
+    when either rejects a sample, the line read last holds it: the
+    ``ValueError`` then names ``path:line``.
+    """
+    lineno = n_samples = 0
+
+    def lines(fp: TextIO) -> Iterator[str]:
+        nonlocal lineno
+        for lineno, line in enumerate(fp, start=1):
+            yield line
+
+    def counted(samples: Iterator[imu_trigger.ImuSample]) -> Iterator[imu_trigger.ImuSample]:
+        nonlocal n_samples
+        for n_samples, sample in enumerate(samples, start=1):
+            yield sample
+
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            samples = counted(imu_trigger.read_trace(lines(fp)))
+            events = list(imu_trigger.run_stream(samples, tcfg))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return n_samples, events
+
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -210,16 +243,15 @@ def cmd_simulate_trigger(cfg: Dict[str, object], out: OutputDir) -> int:
     tcfg = _trigger_config(cfg)
     trace_path = str(cfg["trace"])
     if trace_path:
-        with open(trace_path, "r", encoding="utf-8") as fp:
-            samples = list(imu_trigger.read_trace(fp))
+        n_samples, events = _trace_events(trace_path, tcfg)
     else:
         samples = imu_trigger.demo_trace()
-    events = list(imu_trigger.run_stream(samples, tcfg))
+        n_samples, events = len(samples), list(imu_trigger.run_stream(samples, tcfg))
     with open(out.path("events.txt"), "w", encoding="utf-8") as fp:
         for ev in events:
             fp.write(imu_trigger.format_event_line(ev) + "\n")
     captures = sum(1 for e in events if e.kind is imu_trigger.EventKind.CAPTURE)
-    print(f"{len(samples)} samples -> {len(events)} events ({captures} captures)")
+    print(f"{n_samples} samples -> {len(events)} events ({captures} captures)")
     return 0
 
 

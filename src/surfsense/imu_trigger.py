@@ -9,17 +9,17 @@ exceeds the time threshold ``tt`` a ``background_enter`` event is
 emitted, and the matching ``foreground_resume`` fires on the next
 S1 -> S2 transition.
 
-The machine is timestamp-driven and sample-rate agnostic.  State is
-plain data: callers own one state value per stream and thread it through
-:func:`ingest`; distinct streams never share state.
+The machine is timestamp-driven and sample-rate agnostic.  State is an
+immutable :class:`PlacementState` value: callers own one per stream and
+thread it through :func:`ingest`; distinct streams never share state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, TextIO, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 
 class StreamOrderError(ValueError):
@@ -62,20 +62,24 @@ class TriggerConfig:
     debounce_n: int = 10
 
     def __post_init__(self) -> None:
-        if len(self.la_thresh) != 3 or len(self.aa_thresh) != 3:
-            raise ValueError("thresholds need one value per axis (3 each)")
-        if any(v <= 0 for v in self.la_thresh) or any(v <= 0 for v in self.aa_thresh):
-            raise ValueError("thresholds must be positive")
-        if self.tt <= 0:
-            raise ValueError("tt must be positive")
+        # Each check names its field; `not v > 0` also rejects nan.
+        for name in ("la_thresh", "aa_thresh"):
+            values = getattr(self, name)
+            if len(values) != 3:
+                raise ValueError(f"{name} needs one value per axis (3), got {values!r}")
+            if not all(v > 0 for v in values):
+                raise ValueError(f"{name} must be positive on every axis, got {values!r}")
+        if not self.tt > 0:
+            raise ValueError(f"tt must be positive, got {self.tt!r}")
         if self.debounce_n < 1:
-            raise ValueError("debounce_n must be >= 1")
+            raise ValueError(f"debounce_n must be >= 1, got {self.debounce_n!r}")
 
 
-@dataclass(frozen=True)
-class PlacementState:
+class PlacementState(NamedTuple):
     """Mode, time the mode was entered, and backgrounding flag.
 
+    An immutable value: :func:`ingest` returns a new state and never
+    changes the one it is given, so any saved state can restart a stream.
     ``run_length`` counts consecutive sub-threshold samples while in S2
     (the debounce progress); ``last_t`` enforces timestamp monotonicity.
     """
@@ -98,29 +102,28 @@ def reset() -> PlacementState:
     return PlacementState()
 
 
+def _quiet(
+    cfg: TriggerConfig, la0: float, la1: float, la2: float, aa0: float, aa1: float, aa2: float
+) -> bool:
+    """The quiet test of :func:`ingest` and :func:`is_sub_threshold`.
+
+    ``-th < v < th`` is ``|v| < th`` for every v, and false for nan.
+    """
+    lx, ly, lz = cfg.la_thresh
+    ax, ay, az = cfg.aa_thresh
+    return (
+        -lx < la0 < lx and -ly < la1 < ly and -lz < la2 < lz
+        and -ax < aa0 < ax and -ay < aa1 < ay and -az < aa2 < az
+    )  # fmt: skip
+
+
 def is_sub_threshold(sample: ImuSample, cfg: TriggerConfig) -> bool:
     """True iff |la_i| < la_thresh_i and |aa_i| < aa_thresh_i on all axes (strict)."""
-    return all(abs(v) < th for v, th in zip(sample.la, cfg.la_thresh)) and all(
-        abs(v) < th for v, th in zip(sample.aa, cfg.aa_thresh)
-    )
+    return _quiet(cfg, *sample.la, *sample.aa)
 
 
-def _sample_values(sample: ImuSample) -> Tuple[float, ...]:
-    """``(t, la_x, la_y, la_z, aa_x, aa_y, aa_z)`` of a well-formed sample.
-
-    Raises ``ValueError`` when ``la`` or ``aa`` does not hold three values
-    or when any value is non-finite.
-    """
-    try:
-        (la0, la1, la2), (aa0, aa1, aa2) = sample.la, sample.aa
-    except ValueError:
-        raise ValueError(
-            f"sample at t={sample.t!r} needs three la and three aa values"
-        ) from None
-    values = (sample.t, la0, la1, la2, aa0, aa1, aa2)
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite sample at t={sample.t!r}")
-    return values
+_MOVING, _STATIONARY = Mode.S2_MOVING, Mode.S1_STATIONARY
+_finite = math.isfinite
 
 
 def ingest(
@@ -134,52 +137,40 @@ def ingest(
     first reaches ``tt``, ``foreground_resume`` on the S1 -> S2
     transition that ends a backgrounded episode.
 
-    Raises :class:`StreamOrderError` on a non-monotonic timestamp and
-    ``ValueError`` on a sample without three la and three aa values or
-    with non-finite values.
+    Raises ``ValueError`` on a sample without three la and three aa
+    values or with non-finite values, then :class:`StreamOrderError` on
+    a timestamp that does not advance.
     """
-    _sample_values(sample)
-    if sample.t <= state.last_t:
-        raise StreamOrderError(
-            f"timestamp {sample.t} does not advance past {state.last_t}"
-        )
+    t = sample.t
+    try:
+        (la0, la1, la2), (aa0, aa1, aa2) = sample.la, sample.aa
+    except ValueError:
+        raise ValueError(f"sample at t={t!r} needs three la and three aa values") from None
+    if not (
+        _finite(t) and _finite(la0) and _finite(la1) and _finite(la2)
+        and _finite(aa0) and _finite(aa1) and _finite(aa2)
+    ):  # fmt: skip
+        raise ValueError(f"non-finite sample at t={t!r}")
+    mode, since, backgrounded, run, last_t = state
+    if t <= last_t:
+        raise StreamOrderError(f"timestamp {t} does not advance past {last_t}")
+    quiet = _quiet(cfg, la0, la1, la2, aa0, aa1, aa2)
 
-    quiet = is_sub_threshold(sample, cfg)
-
-    if state.mode is Mode.S2_MOVING:
-        run = state.run_length + 1 if quiet else 0
+    if mode is _MOVING:
+        run = run + 1 if quiet else 0
         if run >= cfg.debounce_n:
-            new = PlacementState(
-                mode=Mode.S1_STATIONARY,
-                since=sample.t,
-                backgrounded=False,
-                run_length=0,
-                last_t=sample.t,
-            )
-            return new, TriggerEvent(sample.t, EventKind.CAPTURE)
-        return replace(state, run_length=run, last_t=sample.t), None
+            return PlacementState(_STATIONARY, t, False, 0, t), TriggerEvent(t, EventKind.CAPTURE)
+        return PlacementState(mode, since, backgrounded, run, t), None
 
     # S1: one super-threshold sample ends the episode.
     if not quiet:
-        event = (
-            TriggerEvent(sample.t, EventKind.FOREGROUND_RESUME)
-            if state.backgrounded
-            else None
+        event = TriggerEvent(t, EventKind.FOREGROUND_RESUME) if backgrounded else None
+        return PlacementState(_MOVING, t, False, 0, t), event
+    if not backgrounded and t - since >= cfg.tt:
+        return PlacementState(mode, since, True, run, t), TriggerEvent(
+            t, EventKind.BACKGROUND_ENTER
         )
-        new = PlacementState(
-            mode=Mode.S2_MOVING,
-            since=sample.t,
-            backgrounded=False,
-            run_length=0,
-            last_t=sample.t,
-        )
-        return new, event
-
-    if not state.backgrounded and sample.t - state.since >= cfg.tt:
-        return replace(state, backgrounded=True, last_t=sample.t), TriggerEvent(
-            sample.t, EventKind.BACKGROUND_ENTER
-        )
-    return replace(state, last_t=sample.t), None
+    return PlacementState(mode, since, backgrounded, run, t), None
 
 
 def run_stream(
@@ -187,47 +178,16 @@ def run_stream(
 ) -> Iterator[TriggerEvent]:
     """Stream a whole trace through a fresh state machine, yielding events.
 
-    Equivalent to folding :func:`ingest` over ``samples`` from
-    :func:`reset` and yielding every event it returns: the same events at
-    the same times, and the same errors (``ValueError`` on a non-finite
-    value or a sample without three values per sensor,
-    :class:`StreamOrderError` on a timestamp that does not advance)
-    raised after the events of the samples before the bad one.  The state
-    lives in plain locals instead of a :class:`PlacementState` per sample.
-    The generator is lazy: it reads a sample only when asked for the next
-    event.
+    Folds :func:`ingest` over ``samples`` from :func:`reset` and yields
+    every event it returns; an error of :func:`ingest` is raised after
+    the events of the samples before the bad one.  The generator is lazy:
+    it reads a sample only when asked for the next event.
     """
-    lx, ly, lz = cfg.la_thresh
-    ax, ay, az = cfg.aa_thresh
-    tt, debounce_n = cfg.tt, cfg.debounce_n
-    moving = True  # Mode.S2_MOVING
-    since = -math.inf
-    backgrounded = False
-    run = 0
-    last_t = -math.inf
+    state = reset()
     for sample in samples:
-        t, la0, la1, la2, aa0, aa1, aa2 = _sample_values(sample)
-        if t <= last_t:
-            raise StreamOrderError(f"timestamp {t} does not advance past {last_t}")
-        last_t = t
-        # -th < v < th is |v| < th for finite v (see is_sub_threshold).
-        quiet = (
-            -lx < la0 < lx and -ly < la1 < ly and -lz < la2 < lz
-            and -ax < aa0 < ax and -ay < aa1 < ay and -az < aa2 < az
-        )
-        if moving:
-            run = run + 1 if quiet else 0
-            if run >= debounce_n:
-                moving, since, backgrounded, run = False, t, False, 0
-                yield TriggerEvent(t, EventKind.CAPTURE)
-        elif not quiet:
-            was_backgrounded = backgrounded
-            moving, since, backgrounded, run = True, t, False, 0
-            if was_backgrounded:
-                yield TriggerEvent(t, EventKind.FOREGROUND_RESUME)
-        elif not backgrounded and t - since >= tt:
-            backgrounded = True
-            yield TriggerEvent(t, EventKind.BACKGROUND_ENTER)
+        state, event = ingest(sample, state, cfg)
+        if event is not None:
+            yield event
 
 
 # --- trace / event-log text formats ---------------------------------------
@@ -244,7 +204,7 @@ def parse_trace_line(line: str) -> ImuSample:
     return ImuSample(t=vals[0], la=(vals[1], vals[2], vals[3]), aa=(vals[4], vals[5], vals[6]))
 
 
-def read_trace(fp: TextIO) -> Iterator[ImuSample]:
+def read_trace(fp: Iterable[str]) -> Iterator[ImuSample]:
     for line in fp:
         line = line.strip()
         if not line or line.startswith("#"):

@@ -29,3 +29,27 @@ def test_summary_counts_wins_by_direction_and_skips_ties():
     assert (out["op_p50_ms"]["change_wins"], out["op_p50_ms"]["parent_wins"]) == (1, 1)
     assert (out["items_per_s"]["change_wins"], out["items_per_s"]["parent_wins"]) == (2, 1)
     assert out["op_p50_ms"]["parent"] == {"q1": 10.0, "median": 10.0, "q3": 11.0}
+
+
+def test_summary_verdicts():
+    def run(rate):
+        return {"metrics": {"items_per_s": rate}}
+
+    spec = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+    def verdicts(parent, change):
+        pairs = [{"parent": run(p), "change": run(c)} for p, c in zip(parent, change)]
+        m = bench_pairs.summarize(pairs, spec)["items_per_s"]
+        return m["claim_holds"], m["regressed"], m["disjoint"]
+
+    parent = [100.0, 90.0, 110.0, 95.0, 105.0, 100.0, 98.0, 102.0, 97.0, 103.0]
+    # every run 30% faster: the claim holds and the sides are disjoint
+    assert verdicts(parent, [1.3 * p for p in parent]) == (True, False, True)
+    # wins 9/10, but the median gap (4.0) is inside the parent's IQR (5.5)
+    assert verdicts(parent, [p + 5.0 for p in parent[:9]] + [50.0]) == (False, False, False)
+    # 8/10 wins with a wide gap: the win count fails the claim
+    change = [p + 40.0 for p in parent[:8]] + [p - 1.0 for p in parent[8:]]
+    assert verdicts(parent, change) == (False, False, False)
+    # 30% slower in every pair: worse than the 25% bound
+    assert verdicts(parent, [0.7 * p for p in parent]) == (False, True, False)
+    assert verdicts(parent, [0.8 * p for p in parent]) == (False, False, False)

@@ -1,6 +1,8 @@
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from surfsense.cli import main, parse_config
 
 
@@ -62,6 +64,36 @@ def test_simulate_trigger_reads_trace_file(tmp_path):
     assert run(["simulate-trigger", cfg]) == 0
     events = (out / "events.txt").read_text().splitlines()
     assert len([l for l in events if "capture" in l]) == 1
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("0.060000 0 0 0 0 0", "expected 7 fields, got 6"),
+        ("0.060000 0 0 x 0 0 0", "could not convert string to float: 'x'"),
+        ("0.040000 0 0 0 0 0 0", "timestamp 0.04 does not advance past 0.04"),
+        ("0.060000 0 nan 0 0 0 0", "non-finite sample at t=0.06"),
+    ],
+)
+def test_simulate_trigger_trace_errors_name_path_and_line(tmp_path, capsys, bad, message):
+    # the bad sample sits on line 6, after a comment, a blank line and three samples
+    good = [f"{i * 0.02:.6f} 0 0 0 0 0 0" for i in range(3)]
+    trace = tmp_path / "trace.txt"
+    trace.write_text("# t la aa\n\n" + "\n".join(good + [bad]) + "\n")
+    out = tmp_path / "run"
+    assert run(["simulate-trigger", write_config(tmp_path / "c.txt", out_dir=out, trace=trace)]) == 1
+    assert f"{trace}:6: {message}" in capsys.readouterr().err
+    assert not (out / "events.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("tt", "nan"), ("la_thresh", "nan,0.04,0.04"), ("aa_thresh", "0.02,nan,0.02")]
+)
+def test_simulate_trigger_rejects_nan_settings(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert run(["simulate-trigger", write_config(tmp_path / "c.txt", out_dir=out, **{key: value})]) == 2
+    assert f"error: config: bad trigger setting: {key} must be positive" in capsys.readouterr().err
+    assert not (out / "events.txt").exists()
 
 
 def test_gen_corpus_roundtrips_and_is_deterministic(tmp_path):
@@ -251,8 +283,6 @@ def test_commands_do_not_mutate_inputs(tmp_path):
 
 
 def test_task_stream_errors_name_path_and_line(tmp_path):
-    import pytest
-
     from surfsense.cli import ConfigError, _read_task_stream
 
     gen = write_config(

@@ -2,10 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfsense.imu_trigger import (
     EventKind,
     ImuSample,
+    Mode,
     StreamOrderError,
     TriggerConfig,
     TriggerEvent,
@@ -410,3 +413,64 @@ def test_run_stream_rejects_sample_without_three_axes(la, aa):
 def test_trigger_config_needs_three_axes():
     with pytest.raises(ValueError):
         TriggerConfig(la_thresh=(0.04, 0.04))
+
+
+@pytest.mark.parametrize(
+    "key, kwargs",
+    [
+        ("tt", dict(tt=float("nan"))),
+        ("la_thresh", dict(la_thresh=(float("nan"), 0.04, 0.04))),
+        ("aa_thresh", dict(aa_thresh=(0.02, 0.02, float("nan")))),
+        ("la_thresh", dict(la_thresh=(0.04, 0.0, 0.04))),
+        ("tt", dict(tt=-1.0)),
+    ],
+)
+def test_trigger_config_rejects_nan_and_non_positive_values(key, kwargs):
+    with pytest.raises(ValueError, match=f"^{key} must be positive"):
+        TriggerConfig(**kwargs)
+
+
+# -- the state is a value ------------------------------------------------------
+
+
+def test_placement_state_fields_cannot_be_assigned():
+    state = reset()
+    with pytest.raises(AttributeError):
+        state.mode = Mode.S1_STATIONARY
+    with pytest.raises(AttributeError):
+        state.run_length = 3
+    assert state == reset()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    segments=st.lists(st.tuples(st.booleans(), st.integers(1, 30)), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    tt=st.floats(0.05, 2.0),
+    debounce_n=st.integers(1, 15),
+)
+def test_ingest_fold_restarts_from_any_saved_state(segments, seed, tt, debounce_n):
+    """Folding ``ingest`` matches the offline scan, and every state it
+    passed through, saved and folded again later, gives the same rest."""
+    cfg = TriggerConfig(tt=tt, debounce_n=debounce_n)
+    rng = np.random.default_rng(seed)
+    samples = []
+    for burst, k in segments:
+        lo, hi = (RANDOM_LO, RANDOM_HI) if burst else (QUIET_LO, QUIET_HI)
+        for v in (lo + (hi - lo) * rng.random((k, 6))).tolist():
+            samples.append(ImuSample(t=len(samples) * 0.02, la=tuple(v[:3]), aa=tuple(v[3:])))
+
+    def fold(state, rest):
+        events = []
+        for s in rest:
+            state, ev = ingest(s, state, cfg)
+            events.append(ev)
+        return state, events
+
+    states = [reset()]
+    for s in samples:
+        states.append(ingest(s, states[-1], cfg)[0])
+    final, events = fold(reset(), samples)
+    assert [(e.t, e.kind.value) for e in events if e] == brute_force_scan(samples, cfg)
+    for i, saved in enumerate(states):
+        assert fold(saved, samples[i:]) == (final, events[i:]), f"restart at sample {i}"

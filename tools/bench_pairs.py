@@ -10,7 +10,8 @@ direction come from ``BENCHMARK.json`` next to this script.
 One comparison is appended to ``BENCH_<workload>.json`` at the root of
 the repository holding this script: every run's end-to-end metrics and
 failed/attempted counts, and per metric each side's quartiles and the
-number of pairs each side won (ties count for neither).  The file is
+number of pairs each side won (ties count for neither), with the
+verdicts that :func:`summarize` defines.  The file is
 rewritten after every pair, so a batch cut short keeps the pairs it ran.
 Standard library only.
 """
@@ -69,19 +70,35 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
+    """Per metric: quartiles, wins, and three verdicts.
+
+    ``claim_holds``: the change won at least 9 of every 10 pairs and its
+    median beats the parent's by more than the parent's interquartile
+    range.  ``regressed``: the change's median is worse than the parent's
+    by more than ``bound`` times the parent's median.  ``disjoint``:
+    every change run beats every parent run.
+    """
     out = {}
     for spec in end_to_end:
         name, sign = spec["name"], (1 if spec["better"] == "higher" else -1)
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+        parent, change = quartiles(values["parent"]), quartiles(values["change"])
+        change_wins = sum(d > 0 for d in diffs)
+        gap = sign * (change["median"] - parent["median"])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "bound": spec["bound"],
-            "parent": quartiles(values["parent"]),
-            "change": quartiles(values["change"]),
-            "change_wins": sum(d > 0 for d in diffs),
+            "parent": parent,
+            "change": change,
+            "change_wins": change_wins,
             "parent_wins": sum(d < 0 for d in diffs),
+            "claim_holds": 10 * change_wins >= 9 * len(pairs)
+            and gap > parent["q3"] - parent["q1"],
+            "regressed": -gap > spec["bound"] * abs(parent["median"]),
+            "disjoint": min(sign * c for c in values["change"])
+            > max(sign * p for p in values["parent"]),
         }
     return out
 
@@ -128,7 +145,9 @@ def main(argv=None) -> int:
     for name, m in entry["metrics"].items():
         print(
             f"{name}: parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
-            f"{m['unit']}; change won {m['change_wins']}/{len(entry['pairs'])}",
+            f"{m['unit']}; change won {m['change_wins']}/{len(entry['pairs'])}; "
+            f"claim holds {m['claim_holds']}; regressed {m['regressed']}; "
+            f"disjoint {m['disjoint']}",
         )
     return 0
 
