@@ -78,8 +78,9 @@ class TriggerConfig:
 class PlacementState(NamedTuple):
     """Mode, time the mode was entered, and backgrounding flag.
 
-    An immutable value: :func:`ingest` returns a new state and never
-    changes the one it is given, so any saved state can restart a stream.
+    An immutable ``NamedTuple`` value: :func:`ingest` returns a new state
+    and never changes the one it is given, so any saved state can restart
+    a stream.
     ``run_length`` counts consecutive sub-threshold samples while in S2
     (the debounce progress); ``last_t`` enforces timestamp monotonicity.
     """

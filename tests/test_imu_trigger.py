@@ -444,33 +444,26 @@ def test_placement_state_fields_cannot_be_assigned():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    segments=st.lists(st.tuples(st.booleans(), st.integers(1, 30)), min_size=1, max_size=8),
     seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 200),
     tt=st.floats(0.05, 2.0),
     debounce_n=st.integers(1, 15),
 )
-def test_ingest_fold_restarts_from_any_saved_state(segments, seed, tt, debounce_n):
+def test_ingest_fold_restarts_from_any_saved_state(seed, n, tt, debounce_n):
     """Folding ``ingest`` matches the offline scan, and every state it
     passed through, saved and folded again later, gives the same rest."""
     cfg = TriggerConfig(tt=tt, debounce_n=debounce_n)
-    rng = np.random.default_rng(seed)
-    samples = []
-    for burst, k in segments:
-        lo, hi = (RANDOM_LO, RANDOM_HI) if burst else (QUIET_LO, QUIET_HI)
-        for v in (lo + (hi - lo) * rng.random((k, 6))).tolist():
-            samples.append(ImuSample(t=len(samples) * 0.02, la=tuple(v[:3]), aa=tuple(v[3:])))
+    samples = random_trace(seed, n=n)
 
     def fold(state, rest):
-        events = []
+        states, events = [state], []
         for s in rest:
             state, ev = ingest(s, state, cfg)
+            states.append(state)
             events.append(ev)
-        return state, events
+        return states, events
 
-    states = [reset()]
-    for s in samples:
-        states.append(ingest(s, states[-1], cfg)[0])
-    final, events = fold(reset(), samples)
+    states, events = fold(reset(), samples)
     assert [(e.t, e.kind.value) for e in events if e] == brute_force_scan(samples, cfg)
-    for i, saved in enumerate(states):
-        assert fold(saved, samples[i:]) == (final, events[i:]), f"restart at sample {i}"
+    for i in range(len(samples) + 1):
+        assert fold(states[i], samples[i:]) == (states[i:], events[i:]), f"restart at {i}"
