@@ -175,7 +175,9 @@ def _swap(x: np.ndarray) -> np.ndarray:
 
 
 def _pad1(x: np.ndarray) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.zeros(x.shape[:2] + (x.shape[2] + 2, x.shape[3] + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
+    return xp
 
 
 def _out_hw(h: int, w: int) -> Tuple[int, int]:
@@ -227,10 +229,12 @@ def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     ho, wo = _out_hw(h, wd)
     xp = _pad1(_swap(x))
     out = np.zeros((c, n, ho, wo), dtype=x.dtype)
+    tap = np.empty(out.shape, dtype=np.result_type(w, xp))
     for k in range(9):
         ki, kj = divmod(k, 3)
-        out += w[:, ki, kj, None, None, None] * xp[_tap_slice(k, ho, wo)]
-    out += b[:, None, None, None]
+        np.multiply(w[:, ki, kj, None, None, None], xp[_tap_slice(k, ho, wo)], out=tap)
+        out += tap
+    out += b[:, None, None, None]  # last: a bias-first sum rounds differently
     return _swap(out), xp
 
 
@@ -312,7 +316,8 @@ def _forward_trunk(
         if margins is not None:
             margins.append(float(np.abs(zc).min()))
         mask = zc > 0
-        return zc * mask, mask
+        # In place: no pre-activation is kept, in the cache or elsewhere.
+        return np.multiply(zc, mask, out=zc), mask
 
     a, cols = conv3x3s2_forward(x, t["stem_w"], t["stem_b"])
     a, mask = relu(a)

@@ -52,6 +52,15 @@ def _parse_vec3(v: str) -> Tuple[float, float, float]:
     return (parts[0], parts[1], parts[2])
 
 
+def _checked(parse, ok, message: str):
+    def parser(v: str):
+        value = parse(v)
+        if not ok(value):
+            raise ValueError(message)
+        return value
+    return parser
+
+
 # key -> (parser, default); a None default marks a key with no default.
 CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "out_dir": (str, None),
@@ -64,9 +73,12 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "debounce_n": (int, 10),
     # quality gate
     "images": (str, ""),
-    "sigma": (float, 1.0),
-    "blur_threshold": (str, "auto"),
-    "blur_percentile": (float, 0.1),
+    "sigma": (_checked(float, lambda x: 0 < x < np.inf, "must be positive and finite"), 1.0),
+    "blur_threshold": (
+        _checked(str, lambda v: v == "auto" or np.isfinite(float(v)), "must be 'auto' or finite"),
+        "auto",
+    ),
+    "blur_percentile": (_checked(float, lambda x: 0 <= x <= 100, "must lie in [0, 100]"), 0.1),
     # corpus
     "corpus_manifest": (str, ""),
     "images_per_class": (int, 45),

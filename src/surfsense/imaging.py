@@ -19,10 +19,6 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 # Rec. 601 luminance weights for the 3->1 channel conversion.
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
-# 3x3 Laplacian stencil applied after the Gaussian blur.
-LAPLACIAN_3X3 = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
-
-
 @dataclass(frozen=True)
 class Image:
     """Float raster in [0, 1]; ``pixels`` has shape (height, width, channels)."""
@@ -88,43 +84,61 @@ def to_luminance(img: Image) -> np.ndarray:
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Sampled Gaussian, radius ceil(3*sigma), normalized to sum 1."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     radius = int(np.ceil(3.0 * sigma))
     xs = np.arange(-radius, radius + 1, dtype=float)
     k = np.exp(-(xs**2) / (2.0 * sigma**2))
     return k / k.sum()
 
 
-def _convolve_reflect_1d(plane: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    radius = (len(kernel) - 1) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(plane, pad, mode="reflect")
-    out = np.zeros_like(plane)
-    for i, w in enumerate(kernel):
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(i, i + plane.shape[axis])
-        out += w * padded[tuple(sl)]
+def _reflect_pad(plane: np.ndarray, r: int) -> np.ndarray:
+    """``np.pad(plane, r, mode="reflect")``, filled by slicing when ``r`` is under each side."""
+    h, w = plane.shape
+    if r >= h or r >= w:  # reflects more than once
+        return np.pad(plane, r, mode="reflect")
+    out = np.empty((h + 2 * r, w + 2 * r), dtype=plane.dtype)
+    out[r : r + h, r : r + w] = plane
+    for a in (out, out.T):  # rows, then columns of the row-padded array
+        n = a.shape[0] - r
+        a[:r] = a[2 * r : r : -1]
+        a[n:] = a[n - 2 : n - r - 2 : -1]
     return out
 
 
 def gaussian_blur_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with reflected borders."""
+    """Separable Gaussian blur with reflected borders.  Vertical tap i reads the
+    plane reflect-padded by r flat at offset i*(w+2r), horizontal tap i reads the
+    flat (h, w+2r) result at offset i; every element adds its taps in order from
+    zero, each product made in ``np.result_type(kernel, plane)``.  Returns the
+    first w columns, a strided view."""
     k = gaussian_kernel_1d(sigma)
-    return _convolve_reflect_1d(_convolve_reflect_1d(plane, k, 0), k, 1)
+    r = len(k) // 2
+    h, w = plane.shape
+    wp = w + 2 * r
+    out = _reflect_pad(plane, r).reshape(-1)
+    tmp = np.empty(h * wp, dtype=np.result_type(k, plane))
+    for step, n in ((wp, h * wp), (1, h * wp - 2 * r)):  # vertical, then horizontal
+        src, out = out, np.zeros(h * wp, dtype=plane.dtype)
+        for i, ki in enumerate(k):
+            np.multiply(ki, src[i * step : i * step + n], out=tmp[:n])
+            out[:n] += tmp[:n]
+    return out.reshape(h, wp)[:, :w]
 
 
 def laplacian_plane(plane: np.ndarray) -> np.ndarray:
-    """3x3 Laplacian stencil with reflected borders."""
-    padded = np.pad(plane, 1, mode="reflect")
-    return (
-        padded[:-2, 1:-1]
-        + padded[2:, 1:-1]
-        + padded[1:-1, :-2]
-        + padded[1:-1, 2:]
-        - 4.0 * padded[1:-1, 1:-1]
-    )
+    """3x3 Laplacian stencil with reflected borders: on the plane reflect-padded by
+    one, flat offsets -(w+2), +(w+2), -1 and +1 summed in that order, less 4 * centre."""
+    h, w = plane.shape
+    n, wp = h * (w + 2), w + 2
+    flat = _reflect_pad(plane, 1).reshape(-1)
+    centre = flat[wp : wp + n]  # rows 1..h, padding columns included
+    out = flat[:n] + flat[2 * wp :]
+    out += flat[wp - 1 : wp - 1 + n]
+    out += flat[wp + 1 : wp + 1 + n]
+    out -= np.multiply(centre, 4.0, out=centre)  # the padded copy is ours
+    # C order: np.var of the strided interior would sum in another order.
+    return np.ascontiguousarray(out.reshape(h, wp)[:, 1 : w + 1])
 
 
 def log_response(img: Image, sigma: float = 1.0) -> np.ndarray:

@@ -53,3 +53,12 @@ def test_summary_verdicts():
     # 30% slower in every pair: worse than the 25% bound
     assert verdicts(parent, [0.7 * p for p in parent]) == (False, True, False)
     assert verdicts(parent, [0.8 * p for p in parent]) == (False, False, False)
+
+
+def test_digest_mismatches_name_each_differing_seed():
+    def pair(seed, parent, change):
+        return {"seed": seed, "parent": {"digest": parent}, "change": {"digest": change}}
+
+    pairs = [pair(7, "a", "a"), pair(8, "b", "c"), pair(9, "d", "d"), pair(10, "e", None)]
+    assert bench_pairs.digest_mismatches(pairs) == [8, 10]
+    assert bench_pairs.digest_mismatches(pairs[:1] + pairs[2:3]) == []

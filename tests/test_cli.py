@@ -1,9 +1,11 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from surfsense.cli import main, parse_config
+from surfsense.imaging import Image, save_image
 
 
 def run(args):
@@ -121,6 +123,28 @@ def test_assess_quality(tmp_path):
     rows = (out / "quality.csv").read_text().splitlines()
     assert rows[0] == "path,log_variance,pass"
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("blur_threshold", "nan", "must be 'auto' or finite"),
+        ("sigma", "nan", "must be positive and finite"),
+        ("sigma", "inf", "must be positive and finite"),
+        ("blur_percentile", "150", "must lie in [0, 100]"),
+        ("blur_percentile", "nan", "must lie in [0, 100]"),
+    ],
+)
+def test_assess_quality_rejects_bad_settings_before_reading_images(
+    tmp_path, capsys, key, value, message
+):
+    image = tmp_path / "a.ppm"
+    save_image(Image(np.full((8, 8, 3), 0.5)), image)
+    out = tmp_path / "quality"
+    cfg = write_config(tmp_path / "q.txt", out_dir=out, images=image, **{key: value})
+    assert run(["assess-quality", cfg]) == 2
+    assert f"{cfg}:3: bad value for {key!r}: {message}" in capsys.readouterr().err
+    assert not (out / "quality.csv").exists()
 
 
 def test_train_evaluate_and_report(tmp_path):

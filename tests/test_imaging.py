@@ -58,6 +58,102 @@ def oracle_log_variance(img, sigma):
     return float(np.var(resp))
 
 
+# --- np.pad references for the gate: the fast path must match them bit for bit ---
+
+
+def convolve_reflect_1d_reference(plane, kernel, axis):
+    radius = (len(kernel) - 1) // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (radius, radius)
+    padded = np.pad(plane, pad, mode="reflect")
+    out = np.zeros_like(plane)
+    for i, w in enumerate(kernel):
+        sl = [slice(None), slice(None)]
+        sl[axis] = slice(i, i + plane.shape[axis])
+        out += w * padded[tuple(sl)]
+    return out
+
+
+def gaussian_blur_plane_reference(plane, sigma):
+    k = gaussian_kernel_1d(sigma)
+    return convolve_reflect_1d_reference(convolve_reflect_1d_reference(plane, k, 0), k, 1)
+
+
+def laplacian_plane_reference(plane):
+    padded = np.pad(plane, 1, mode="reflect")
+    return (
+        padded[:-2, 1:-1]
+        + padded[2:, 1:-1]
+        + padded[1:-1, :-2]
+        + padded[1:-1, 2:]
+        - 4.0 * padded[1:-1, 1:-1]
+    )
+
+
+def log_variance_reference(img, sigma):
+    plane = to_luminance(img).astype(np.float64, copy=False)
+    return float(np.var(laplacian_plane_reference(gaussian_blur_plane_reference(plane, sigma))))
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_gate_matches_reference(img, sigma):
+    for c in range(img.channels):
+        plane = img.pixels[:, :, c]  # a strided view for RGB
+        want = gaussian_blur_plane_reference(plane, sigma)
+        _assert_same_bits(imaging.gaussian_blur_plane(plane, sigma), want)
+        lap = imaging.laplacian_plane(plane)
+        _assert_same_bits(lap, laplacian_plane_reference(plane))
+        assert lap.flags.c_contiguous  # np.var sums a strided view in another order
+    got = log_sharpness(img, sigma).log_variance
+    assert got.hex() == log_variance_reference(img, sigma).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    channels=st.sampled_from([1, 3]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    sigma=st.floats(0.3, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gate_matches_np_pad_reference_property(h, w, channels, dtype, sigma, seed):
+    # sigma up to 5 puts the radius (up to 15) at or past a side of up to 40 px
+    px = np.random.default_rng(seed).uniform(0.0, 1.0, (h, w, channels)).astype(dtype)
+    _assert_gate_matches_reference(Image(px), sigma)
+
+
+def _bowl_224(seed):
+    """A smooth 224-px paraboloid with 1e-4 noise: its LoG response is nearly
+    constant, so the variance's last bits follow the rounding of its mean."""
+    y, x = np.mgrid[0:224, 0:224] / 223.0
+    bowl = 1.8 * ((x - 0.5) ** 2 + (y - 0.5) ** 2)[:, :, None]
+    noise = np.random.default_rng(seed).uniform(0.0, 1e-4, (224, 224, 3))
+    return np.clip(bowl + noise, 0.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_gate_matches_np_pad_reference_at_224_px(sigma):
+    texture = np.random.default_rng(224).uniform(0.0, 1.0, (224, 224, 3)).astype(np.float32)
+    # With numpy 2.4, np.var of the strided Laplacian interior of the seed-9
+    # bowl at sigma 1 differs in its last bit from np.var of a C-ordered copy.
+    for px in (texture, _bowl_224(9)):
+        img = Image(px)
+        _assert_gate_matches_reference(img, sigma)
+        want = np.stack([gaussian_blur_plane_reference(px[:, :, c], sigma) for c in range(3)], 2)
+        _assert_same_bits(gaussian_blur(img, sigma).pixels, np.clip(want, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_gaussian_kernel_rejects_non_positive_or_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        gaussian_kernel_1d(sigma)
+
+
 def test_constant_image_scores_zero():
     score = log_sharpness(gray(32, 32, 0.4), sigma=1.0)
     assert score.log_variance == 0.0

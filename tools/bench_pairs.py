@@ -39,7 +39,7 @@ def parse_seeds(text: str) -> list:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run: its result line plus the git state and load it reported."""
+    """One untraced run: its result line plus the output digest, git state and load it reported."""
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -49,13 +49,15 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     results = [r for r in records if "metrics" in r]
     if not results:
         raise RuntimeError(f"{checkout}: bench/run.py exited {proc.returncode}:\n{proc.stderr}")
-    env = next((r["info"]["env"] for r in records if "info" in r), {})
+    info = next((r["info"] for r in records if "info" in r), {})
+    env = info.get("env", {})
     result = results[-1]
     return {
         "exit": proc.returncode,
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "digest": info.get("digest"),
         "git_sha": env.get("git_sha"),
         "git_dirty": env.get("git_dirty"),
         "loadavg_start": env.get("loadavg_start"),
@@ -103,6 +105,11 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def digest_mismatches(pairs: list) -> list:
+    """Seeds of the pairs whose parent and change runs report different output digests."""
+    return [p["seed"] for p in pairs if p["parent"]["digest"] != p["change"]["digest"]]
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -141,6 +148,7 @@ def main(argv=None) -> int:
             for side in SIDES
         }  # fmt: skip
         entry["metrics"] = summarize(entry["pairs"], bench["end_to_end"])
+        entry["digest_mismatch_seeds"] = digest_mismatches(entry["pairs"])
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in entry["metrics"].items():
         print(
@@ -149,6 +157,8 @@ def main(argv=None) -> int:
             f"claim holds {m['claim_holds']}; regressed {m['regressed']}; "
             f"disjoint {m['disjoint']}",
         )
+    differ = entry["digest_mismatch_seeds"]
+    print(f"output digests differ at seeds {differ}" if differ else "output digests match")
     return 0
 
 
