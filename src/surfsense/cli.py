@@ -58,6 +58,7 @@ def _checked(parse, ok, message: str):
         if not ok(value):
             raise ValueError(message)
         return value
+
     return parser
 
 

@@ -19,6 +19,7 @@ SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 # Rec. 601 luminance weights for the 3->1 channel conversion.
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
+
 @dataclass(frozen=True)
 class Image:
     """Float raster in [0, 1]; ``pixels`` has shape (height, width, channels)."""
@@ -107,11 +108,10 @@ def _reflect_pad(plane: np.ndarray, r: int) -> np.ndarray:
 
 
 def gaussian_blur_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with reflected borders.  Vertical tap i reads the
-    plane reflect-padded by r flat at offset i*(w+2r), horizontal tap i reads the
-    flat (h, w+2r) result at offset i; every element adds its taps in order from
-    zero, each product made in ``np.result_type(kernel, plane)``.  Returns the
-    first w columns, a strided view."""
+    """Separable Gaussian blur with reflected borders, as a strided view.  Vertical tap i
+    reads the plane reflect-padded by r, flat, at offset i*(w+2r); horizontal tap i reads
+    that pass's flat (h, w+2r) result at offset i.  Each element adds its taps from zero,
+    in order, each product made in ``np.result_type(kernel, plane)``."""
     k = gaussian_kernel_1d(sigma)
     r = len(k) // 2
     h, w = plane.shape
@@ -128,7 +128,8 @@ def gaussian_blur_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
 
 def laplacian_plane(plane: np.ndarray) -> np.ndarray:
     """3x3 Laplacian stencil with reflected borders: on the plane reflect-padded by
-    one, flat offsets -(w+2), +(w+2), -1 and +1 summed in that order, less 4 * centre."""
+    one, flat offsets -(w+2), +(w+2), -1 and +1 summed in that order, less 4 * centre.
+    The result is C-ordered: ``np.var`` sums a strided view in another order."""
     h, w = plane.shape
     n, wp = h * (w + 2), w + 2
     flat = _reflect_pad(plane, 1).reshape(-1)
@@ -137,7 +138,6 @@ def laplacian_plane(plane: np.ndarray) -> np.ndarray:
     out += flat[wp - 1 : wp - 1 + n]
     out += flat[wp + 1 : wp + 1 + n]
     out -= np.multiply(centre, 4.0, out=centre)  # the padded copy is ours
-    # C order: np.var of the strided interior would sum in another order.
     return np.ascontiguousarray(out.reshape(h, wp)[:, 1 : w + 1])
 
 
