@@ -224,45 +224,81 @@ def conv3x3s2_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
     return dw, _sum_nhw(dc)
 
 
+def _parity_planes(xc: np.ndarray) -> np.ndarray:
+    """The four parity phases of a channel-major (C, N, H, W) input padded
+    by one, as a (4, C, N*(ho+1)*(wo+1)) array: phase 2*pi + pj holds the
+    padded pixels (2*r + pi, 2*s + pj) on a zero-edged (ho+1, wo+1) grid
+    per sample."""
+    c, n, h, wd = xc.shape
+    ho, wo = _out_hw(h, wd)
+    planes = np.zeros((4, c, n, ho + 1, wo + 1), dtype=xc.dtype)
+    for p, (pi, pj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        # Padded row 2*r + pi is input row 2*r + pi - 1.
+        src = xc[:, :, 1 - pi :: 2, 1 - pj :: 2]
+        planes[p, :, :, 1 - pi : 1 - pi + src.shape[2], 1 - pj : 1 - pj + src.shape[3]] = src
+    return planes.reshape(4, c, -1)
+
+
+def _tap_offset(ki: int, kj: int, wo: int) -> Tuple[int, int]:
+    """Parity plane and flat grid offset that tap (ki, kj) reads."""
+    return 2 * (ki % 2) + kj % 2, (ki // 2) * (wo + 1) + kj // 2
+
+
 def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Depthwise 3x3/stride-2 conv of an (N, C, H, W) view of a channel-major
+    buffer; returns the output view and the parity planes of the input.
+
+    Output cell (i, j) sits at the same flat grid position g as plane cell
+    (i, j), and tap (ki, kj) reads its plane at g plus a flat offset, so
+    each tap is one contiguous multiply-add over the whole grid.  Every
+    cell sums its taps in order k = 0..8 from zero and adds the bias last,
+    the sums of a strided conv over the zero-padded input."""
     n, c, h, wd = x.shape
     ho, wo = _out_hw(h, wd)
-    xp = _pad1(_swap(x))
-    out = np.zeros((c, n, ho, wo), dtype=x.dtype)
-    tap = np.empty(out.shape, dtype=np.result_type(w, xp))
+    planes = _parity_planes(_swap(x))
+    size = planes.shape[2]
+    acc = np.zeros((c, size), dtype=x.dtype)
+    tap = np.empty(acc.shape, dtype=np.result_type(w, x))
     for k in range(9):
         ki, kj = divmod(k, 3)
-        np.multiply(w[:, ki, kj, None, None, None], xp[_tap_slice(k, ho, wo)], out=tap)
-        out += tap
-    out += b[:, None, None, None]  # last: a bias-first sum rounds differently
-    return _swap(out), xp
+        p, off = _tap_offset(ki, kj, wo)
+        np.multiply(w[:, ki, kj, None], planes[p, :, off:], out=tap[:, : size - off])
+        acc[:, : size - off] += tap[:, : size - off]
+    out = np.empty((c, n, ho, wo), dtype=x.dtype)
+    # last: a bias-first sum rounds differently
+    np.add(acc.reshape(c, n, ho + 1, wo + 1)[:, :, :ho, :wo], b[:, None, None, None], out=out)
+    return _swap(out), planes
 
 
-def depthwise3x3s2_backward(dout: np.ndarray, xp: np.ndarray, w: np.ndarray, x_shape):
+def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray, x_shape):
+    """Input, weight and bias gradients of :func:`depthwise3x3s2_forward`,
+    from its parity ``planes``."""
     n, c, h, wd = x_shape
     ho, wo = dout.shape[2], dout.shape[3]
     dc = _swap(dout)
-    dw = np.zeros_like(w)
-    for k in range(9):
-        ki, kj = divmod(k, 3)
-        dw[:, ki, kj] = _sum_nhw(dc * xp[_tap_slice(k, ho, wo)])
-    # Tap (ki, kj) adds into phase (ki % 2, kj % 2) of the padded input
-    # gradient, shifted by (ki // 2, kj // 2).  With ``dc`` on a zero-edged
-    # (ho + 1, wo + 1) grid that shift is one flat offset, so each tap is a
-    # single contiguous add, and every element still takes its taps in
-    # order k = 0..8 starting from zero.
+    # ``dc`` on the zero-edged (ho + 1, wo + 1) grid of the planes.
     grid = np.zeros((c, n, ho + 1, wo + 1), dtype=dc.dtype)
     grid[:, :, :ho, :wo] = dc
     grid = grid.reshape(c, -1)
+    size = grid.shape[1]
+    dw = np.zeros_like(w)
+    for k in range(9):
+        ki, kj = divmod(k, 3)
+        p, _ = _tap_offset(ki, kj, wo)
+        xk = planes[p].reshape(c, n, ho + 1, wo + 1)[:, :, ki // 2 : ki // 2 + ho, kj // 2 : kj // 2 + wo]
+        dw[:, ki, kj] = _sum_nhw(dc * xk)
+    # Tap (ki, kj) adds into the plane it read, at the same flat offset, so
+    # each tap is a single contiguous add, and every element of the padded
+    # input gradient still takes its taps in order k = 0..8 from zero.
     tap = np.empty_like(grid)
     dxp = np.empty((c, n, 2 * ho + 2, 2 * wo + 2), dtype=dc.dtype)
     for pi, pj in ((0, 0), (0, 1), (1, 0), (1, 1)):
         phase = np.zeros_like(grid)
         for ki in range(pi, 3, 2):
             for kj in range(pj, 3, 2):
-                off = (ki // 2) * (wo + 1) + kj // 2
+                _, off = _tap_offset(ki, kj, wo)
                 np.multiply(w[:, ki, kj, None], grid, out=tap)
-                phase[:, off:] += tap[:, : tap.shape[1] - off]
+                phase[:, off:] += tap[:, : size - off]
         dxp[:, :, pi::2, pj::2] = phase.reshape(c, n, ho + 1, wo + 1)
     return _swap(dxp[:, :, 1 : h + 1, 1 : wd + 1]), dw, _sum_nhw(dc)
 
@@ -326,11 +362,11 @@ def _forward_trunk(
 
     for bi in (1, 2, 3):
         x = _swap(a)
-        d, xp = depthwise3x3s2_forward(x, t[f"dw{bi}_w"], t[f"dw{bi}_b"])
+        d, planes = depthwise3x3s2_forward(x, t[f"dw{bi}_w"], t[f"dw{bi}_b"])
         d, dmask = relu(d)
         a, pmask = relu(pointwise_forward(_swap(d), t[f"pw{bi}_w"], t[f"pw{bi}_b"]))
         if want_cache:
-            cache[f"block{bi}"] = (x.shape, xp, dmask, d, pmask)
+            cache[f"block{bi}"] = (x.shape, planes, dmask, d, pmask)
 
     c, n = a.shape[:2]
     hw = a.shape[2] * a.shape[3]
@@ -440,12 +476,12 @@ def _loss_grad(
     # Channel-major gradient of the last activation, broadcast over H, W.
     da = (dfeat.T / cache["gap"])[:, :, None, None]
     for bi in (3, 2, 1):
-        x_shape, xp, dmask, d, pmask = cache[f"block{bi}"]
+        x_shape, planes, dmask, d, pmask = cache[f"block{bi}"]
         dd, grads[f"pw{bi}_w"], grads[f"pw{bi}_b"] = pointwise_backward(
             _swap(da * pmask), _swap(d), t[f"pw{bi}_w"]
         )
         da, grads[f"dw{bi}_w"], grads[f"dw{bi}_b"] = depthwise3x3s2_backward(
-            _swap(_swap(dd) * dmask), xp, t[f"dw{bi}_w"], x_shape
+            _swap(_swap(dd) * dmask), planes, t[f"dw{bi}_w"], x_shape
         )
         da = _swap(da)
 
