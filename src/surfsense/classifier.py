@@ -161,12 +161,18 @@ def init_params(
 # kernel takes and returns (N, C, H, W)-shaped views of them (``_swap``).
 # The stem's im2col and every weight or input gradient of a 1x1 conv is
 # one 2-D GEMM over (C, N*H*W) with no transposed copy; the stem's column
-# matrix is (9*C, N*H'*W'), tap index major.  Depthwise taps are plain
-# broadcast multiplies.  Bias and depthwise weight gradients sum in the
-# order numpy uses for a C-ordered (N, C, H, W) array (``_sum_nhw``), so
-# results equal those of per-sample (N, C, H, W) kernels bit for bit
-# wherever the last map is larger than 1x1 (the tests keep such kernels
-# as the reference).
+# matrix is (9*C, N*H'*W'), tap index major.  The depthwise layers work on
+# the four parity planes of the padded input (``_parity_planes``), each a
+# zero-edged (ho+1, wo+1) grid per sample flattened to (C, N*(ho+1)*(wo+1)),
+# so every tap of the forward, the input gradient and the weight gradient
+# is one contiguous operation at a flat offset.  Bias gradients sum in the
+# order numpy uses for a C-ordered (N, C, H, W) array (``_sum_nhw``).  All
+# outputs and gradients but the depthwise weight gradients equal those of
+# per-sample (N, C, H, W) kernels bit for bit wherever the last map is
+# larger than 1x1 (the tests keep such kernels as the reference).  Each
+# depthwise weight gradient is a flat dot product per channel, which sums in
+# another order: the tests hold it within 4 * eps * sum|dout * x| of the
+# exact sum, weight by weight.
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -224,15 +230,18 @@ def conv3x3s2_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray):
     return dw, _sum_nhw(dc)
 
 
+_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _parity_planes(xc: np.ndarray) -> np.ndarray:
     """The four parity phases of a channel-major (C, N, H, W) input padded
-    by one, as a (4, C, N*(ho+1)*(wo+1)) array: phase 2*pi + pj holds the
-    padded pixels (2*r + pi, 2*s + pj) on a zero-edged (ho+1, wo+1) grid
-    per sample."""
+    by one, as a (4, C, N*(ho+1)*(wo+1)) array: plane ``_PHASES.index((pi,
+    pj))`` holds the padded pixels (2*r + pi, 2*s + pj) on a zero-edged
+    (ho+1, wo+1) grid per sample."""
     c, n, h, wd = xc.shape
     ho, wo = _out_hw(h, wd)
     planes = np.zeros((4, c, n, ho + 1, wo + 1), dtype=xc.dtype)
-    for p, (pi, pj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+    for p, (pi, pj) in enumerate(_PHASES):
         # Padded row 2*r + pi is input row 2*r + pi - 1.
         src = xc[:, :, 1 - pi :: 2, 1 - pj :: 2]
         planes[p, :, :, 1 - pi : 1 - pi + src.shape[2], 1 - pj : 1 - pj + src.shape[3]] = src
@@ -272,7 +281,9 @@ def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray, x_shape):
     """Input, weight and bias gradients of :func:`depthwise3x3s2_forward`,
-    from its parity ``planes``."""
+    from its parity ``planes``.  The input and bias gradients have the bits
+    of a strided conv's; each weight gradient is one dot product per
+    channel over the flat grid."""
     n, c, h, wd = x_shape
     ho, wo = dout.shape[2], dout.shape[3]
     dc = _swap(dout)
@@ -281,25 +292,22 @@ def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray,
     grid[:, :, :ho, :wo] = dc
     grid = grid.reshape(c, -1)
     size = grid.shape[1]
-    dw = np.zeros_like(w)
+    dw = np.empty_like(w)
+    dplanes = np.zeros((4, c, size), dtype=dc.dtype)
+    tap = np.empty_like(grid)
     for k in range(9):
         ki, kj = divmod(k, 3)
-        p, _ = _tap_offset(ki, kj, wo)
-        xk = planes[p].reshape(c, n, ho + 1, wo + 1)[:, :, ki // 2 : ki // 2 + ho, kj // 2 : kj // 2 + wo]
-        dw[:, ki, kj] = _sum_nhw(dc * xk)
-    # Tap (ki, kj) adds into the plane it read, at the same flat offset, so
-    # each tap is a single contiguous add, and every element of the padded
-    # input gradient still takes its taps in order k = 0..8 from zero.
-    tap = np.empty_like(grid)
+        p, off = _tap_offset(ki, kj, wo)
+        # One flat per-channel dot product; the grid's zero edge drops the
+        # plane cells no output reads.
+        dw[:, ki, kj] = np.einsum("cg,cg->c", grid[:, : size - off], planes[p, :, off:])
+        # The tap adds into the gradient of the plane it read, at the same
+        # offset, so every cell takes its taps in order k = 0..8 from zero.
+        np.multiply(w[:, ki, kj, None], grid[:, : size - off], out=tap[:, : size - off])
+        dplanes[p, :, off:] += tap[:, : size - off]
     dxp = np.empty((c, n, 2 * ho + 2, 2 * wo + 2), dtype=dc.dtype)
-    for pi, pj in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        phase = np.zeros_like(grid)
-        for ki in range(pi, 3, 2):
-            for kj in range(pj, 3, 2):
-                _, off = _tap_offset(ki, kj, wo)
-                np.multiply(w[:, ki, kj, None], grid, out=tap)
-                phase[:, off:] += tap[:, : size - off]
-        dxp[:, :, pi::2, pj::2] = phase.reshape(c, n, ho + 1, wo + 1)
+    for p, (pi, pj) in enumerate(_PHASES):
+        dxp[:, :, pi::2, pj::2] = dplanes[p].reshape(c, n, ho + 1, wo + 1)
     return _swap(dxp[:, :, 1 : h + 1, 1 : wd + 1]), dw, _sum_nhw(dc)
 
 

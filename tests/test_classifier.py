@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfsense import classifier as C
 from surfsense.classifier import (
@@ -200,9 +202,12 @@ def test_argmax_ties_break_to_lowest_index():
 # --- reference NCHW trunk ---
 #
 # The kernels and loss gradient as they were before activations moved to
-# channel-major buffers: every activation a C-ordered (N, C, H, W) array,
-# one GEMM per sample.  The library's trunk must match them bit for bit on
-# the shapes the workloads run.
+# channel-major buffers: every activation a C-ordered (N, C, H, W) array
+# padded with ``np.pad``, strided taps, one GEMM per sample.  The library's
+# trunk must match them bit for bit on the shapes the workloads run, except
+# for the depthwise weight gradients: the library sums each tap's products
+# as one flat dot product, so those must lie within ``dw_error_bound`` of
+# the exact sums.
 
 
 def _ref_tap_slice(k, ho, wo):
@@ -262,6 +267,24 @@ def ref_depthwise3x3s2_backward(dout, xp, w, x_shape):
     return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, dout.sum(axis=(0, 2, 3))
 
 
+def ref_depthwise_dw_f64(dout, xp):
+    """Depthwise weight gradient summed in float64: the exact sums of the
+    products of float32 inputs, up to float64 rounding."""
+    d64, x64 = dout.astype(np.float64), xp.astype(np.float64)
+    ho, wo = dout.shape[2], dout.shape[3]
+    taps = [(d64 * x64[_ref_tap_slice(k, ho, wo)]).sum(axis=(0, 2, 3)) for k in range(9)]
+    return np.stack(taps, axis=1).reshape(-1, 3, 3)
+
+
+def dw_error_bound(dw, dout, xp):
+    """Whether a float32 depthwise weight gradient is within 4 * eps32 *
+    sum|dout * x| of the exact sum, weight by weight."""
+    exact = ref_depthwise_dw_f64(dout, xp)
+    scale = ref_depthwise_dw_f64(np.abs(dout), np.abs(xp))
+    err = np.abs(dw.astype(np.float64) - exact)
+    return dw.dtype == np.float32 and bool(np.all(err <= 4 * np.finfo(np.float32).eps * scale))
+
+
 def ref_pointwise_forward(x, w, b):
     n, c, h, wd = x.shape
     out = np.matmul(w, x.reshape(n, c, h * wd)).reshape(n, w.shape[0], h, wd)
@@ -305,7 +328,8 @@ def ref_forward_trunk(params, x):
 
 
 def ref_loss_grad(params, x, y_obj, y_mat):
-    """Loss, gradients, per-sample losses and both heads' logits."""
+    """Loss, gradients, per-sample losses, both heads' logits, and each
+    depthwise layer's (dout, padded input) by weight name."""
     n = x.shape[0]
     t = params.tensors
     feat, cache, _ = ref_forward_trunk(params, x)
@@ -329,17 +353,19 @@ def ref_loss_grad(params, x, y_obj, y_mat):
     dfeat = dlogits_o @ t["head_object_w"] + dlogits_m @ t["head_material_w"]
     a_shape, hw = cache["gap"]
     da = np.broadcast_to(dfeat[:, :, None, None] / hw, a_shape).astype(params.dtype)
+    dw_terms = {}
     for bi in (3, 2, 1):
         pre_shape, xp, dmask, d, pmask = cache[f"block{bi}"]
         dd, grads[f"pw{bi}_w"], grads[f"pw{bi}_b"] = ref_pointwise_backward(
             da * pmask, d, t[f"pw{bi}_w"]
         )
+        dw_terms[f"dw{bi}_w"] = (dd * dmask, xp)
         da, grads[f"dw{bi}_w"], grads[f"dw{bi}_b"] = ref_depthwise3x3s2_backward(
             dd * dmask, xp, t[f"dw{bi}_w"], pre_shape
         )
     cols, mask = cache["stem"]
     grads["stem_w"], grads["stem_b"] = ref_conv3x3s2_backward(da * mask, cols, t["stem_w"])
-    return float(per_sample.mean()), grads, per_sample, (logits_o, logits_m)
+    return float(per_sample.mean()), grads, per_sample, (logits_o, logits_m), dw_terms
 
 
 def trunk_case(n, side, dtype=np.float32, seed=0):
@@ -380,7 +406,11 @@ def test_trunk_matches_nchw_reference_bit_for_bit(n, side):
         assert same_bits(per_sample, want[2])
         assert grads.keys() == want[1].keys()
         for name in grads:
-            assert same_bits(grads[name], want[1][name]), name
+            if name in want[4]:  # dw{1,2,3}_w
+                assert grads[name].shape == want[1][name].shape, name
+                assert dw_error_bound(grads[name], *want[4][name]), name
+            else:
+                assert same_bits(grads[name], want[1][name]), name
         assert same_bits(logits[0], want[3][0]) and same_bits(logits[1], want[3][1])
 
 
@@ -412,6 +442,57 @@ def test_trunk_matches_nchw_reference_on_other_shapes(n, side, dtype):
     for name in grads:
         assert np.allclose(grads[name], want[1][name], **tol), name
     assert np.allclose(logits[0], want[3][0], **tol) and np.allclose(logits[1], want[3][1], **tol)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    c=st.sampled_from([8, 16, 32]),
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_depthwise_forward_and_input_gradient_match_strided_reference(n, c, h, w, dtype, seed):
+    rng = np.random.default_rng(seed)
+    ho, wo = (h + 1) // 2, (w + 1) // 2
+    # channel-major buffers, passed as (N, C, H, W) views as the trunk does
+    x = rng.normal(size=(c, n, h, w)).astype(dtype).transpose(1, 0, 2, 3)
+    dout = rng.normal(size=(c, n, ho, wo)).astype(dtype).transpose(1, 0, 2, 3)
+    wt = rng.normal(size=(c, 3, 3)).astype(dtype)
+    b = rng.normal(size=c).astype(dtype)
+    out, planes = C.depthwise3x3s2_forward(x, wt, b)
+    want, xp = ref_depthwise3x3s2_forward(np.ascontiguousarray(x), wt, b)
+    assert same_bits(np.ascontiguousarray(out), want)
+    dx, dw, db = C.depthwise3x3s2_backward(dout, planes, wt, x.shape)
+    want_dx, want_dw, want_db = ref_depthwise3x3s2_backward(
+        np.ascontiguousarray(dout), xp, wt, x.shape
+    )
+    assert same_bits(np.ascontiguousarray(dx), want_dx)
+    assert same_bits(db, want_db)
+    tol = 4 * np.finfo(dtype).eps * ref_depthwise_dw_f64(np.abs(dout), np.abs(xp))
+    assert np.all(np.abs(dw - ref_depthwise_dw_f64(dout, xp)) <= tol)
+
+
+def test_depthwise_weight_gradient_within_four_eps_of_exact_sum():
+    # the three layers of a 32-image 64-px step, then random shapes
+    shapes = [(32, 8, 32, 32), (32, 16, 16, 16), (32, 32, 8, 8)]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        shapes.append(
+            (int(rng.integers(1, 33)), int(rng.choice([8, 16, 32])), int(rng.integers(1, 41)),
+             int(rng.integers(1, 41)))
+        )  # fmt: skip
+    for n, c, h, w in shapes:
+        ho, wo = (h + 1) // 2, (w + 1) // 2
+        # post-ReLU inputs and mixed-sign output gradients, as in training
+        x = np.maximum(rng.normal(size=(c, n, h, w)), 0).astype(np.float32).transpose(1, 0, 2, 3)
+        dout = rng.normal(size=(c, n, ho, wo)).astype(np.float32).transpose(1, 0, 2, 3)
+        wt = rng.normal(size=(c, 3, 3)).astype(np.float32)
+        _, planes = C.depthwise3x3s2_forward(x, wt, np.zeros(c, np.float32))
+        _, dw, _ = C.depthwise3x3s2_backward(dout, planes, wt, x.shape)
+        xp = np.pad(np.ascontiguousarray(x), ((0, 0), (0, 0), (1, 1), (1, 1)))
+        assert dw_error_bound(dw, np.ascontiguousarray(dout), xp), (n, c, h, w)
 
 
 def test_relu_kink_margin_is_smallest_reference_preactivation():
