@@ -26,7 +26,7 @@ import numpy as np
 
 from . import classifier, corpus as corpus_mod, harness, imu_trigger, replay, semantics, synth
 from .classifier import TrainConfig
-from .imaging import load_image, log_sharpness
+from .imaging import SIGMA_RULE, load_image, log_sharpness, sigma_ok
 from .replay import CLConfig, CLTricks, ReplayBuffer, Task
 
 USAGE_ERROR = 2
@@ -74,7 +74,7 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "debounce_n": (int, 10),
     # quality gate
     "images": (str, ""),
-    "sigma": (_checked(float, lambda x: 0 < x < np.inf, "must be positive and finite"), 1.0),
+    "sigma": (_checked(float, sigma_ok, SIGMA_RULE), 1.0),
     "blur_threshold": (
         _checked(str, lambda v: v == "auto" or np.isfinite(float(v)), "must be 'auto' or finite"),
         "auto",
@@ -136,6 +136,15 @@ def _require(cfg: Dict[str, object], key: str) -> object:
     if v is None or v == "":
         raise ConfigError(f"config key {key!r} is required for this command")
     return v
+
+
+def _input_file(path: object) -> Path:
+    """``path`` as a ``Path`` if it names a file.  An input file that does
+    not exist is a usage error (exit 2) in every command."""
+    path = Path(str(path))
+    if not path.is_file():
+        raise ConfigError(f"cannot read {path}: not a file")
+    return path
 
 
 class OutputDir:
@@ -254,9 +263,8 @@ def _trace_events(
 
 def cmd_simulate_trigger(cfg: Dict[str, object], out: OutputDir) -> int:
     tcfg = _trigger_config(cfg)
-    trace_path = str(cfg["trace"])
-    if trace_path:
-        n_samples, events = _trace_events(trace_path, tcfg)
+    if cfg["trace"]:
+        n_samples, events = _trace_events(str(_input_file(cfg["trace"])), tcfg)
     else:
         samples = imu_trigger.demo_trace()
         n_samples, events = len(samples), list(imu_trigger.run_stream(samples, tcfg))
@@ -273,7 +281,7 @@ def cmd_assess_quality(cfg: Dict[str, object], out: OutputDir) -> int:
     paths = (
         sorted(p for p in target.rglob("*") if p.suffix.lower() in (".ppm", ".pgm"))
         if target.is_dir()
-        else [target]
+        else [_input_file(target)]
     )
     if not paths:
         raise ConfigError(f"no images under {target}")
@@ -309,7 +317,7 @@ def cmd_gen_corpus(cfg: Dict[str, object], out: OutputDir) -> int:
 
 
 def _load_corpus(cfg: Dict[str, object]) -> corpus_mod.Corpus:
-    manifest = Path(str(_require(cfg, "corpus_manifest")))
+    manifest = _input_file(_require(cfg, "corpus_manifest"))
     return corpus_mod.read_manifest(manifest, manifest.parent)
 
 
@@ -401,8 +409,8 @@ def _read_task_stream(path: Path) -> List[Task]:
 
 
 def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
-    params = classifier.load_checkpoint(Path(str(_require(cfg, "checkpoint"))))
-    tasks = _read_task_stream(Path(str(_require(cfg, "task_stream"))))
+    params = classifier.load_checkpoint(_input_file(_require(cfg, "checkpoint")))
+    tasks = _read_task_stream(_input_file(_require(cfg, "task_stream")))
     clcfg = _cl_config(cfg)
     buf = ReplayBuffer(capacity=int(cfg["buffer_capacity"]), sampling_mode=clcfg.buffer_mode())
     result = replay.cl_run(params, tasks, clcfg, buf)
@@ -418,7 +426,7 @@ def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     mapping = semantics.DEFAULT_MAPPING
     if args.mapping_file:
-        mapping = semantics.MappingTable.from_file(args.mapping_file)
+        mapping = semantics.MappingTable.from_file(_input_file(args.mapping_file))
     tax = mapping.taxonomy
     try:
         obj_idx = tax.object_index(args.object)
@@ -479,7 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
-        return cmd_validate(args)
+        try:
+            return cmd_validate(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
 
     try:
         cfg = parse_config(args.config)

@@ -83,10 +83,20 @@ def to_luminance(img: Image) -> np.ndarray:
     return img.pixels @ LUMA_WEIGHTS
 
 
+SIGMA_RULE = "must be positive and finite, with 2*sigma**2 > 0"
+
+
+def sigma_ok(sigma: float) -> bool:
+    """Whether :func:`gaussian_kernel_1d` takes ``sigma``: positive, finite
+    and not so small that ``2.0 * sigma**2`` underflows to 0, which would
+    make the kernel nan."""
+    return 0 < sigma < np.inf and 2.0 * sigma**2 > 0
+
+
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Sampled Gaussian, radius ceil(3*sigma), normalized to sum 1."""
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    if not sigma_ok(sigma):
+        raise ValueError(f"sigma {SIGMA_RULE}")
     radius = int(np.ceil(3.0 * sigma))
     xs = np.arange(-radius, radius + 1, dtype=float)
     k = np.exp(-(xs**2) / (2.0 * sigma**2))

@@ -62,3 +62,19 @@ def test_digest_mismatches_name_each_differing_seed():
     pairs = [pair(7, "a", "a"), pair(8, "b", "c"), pair(9, "d", "d"), pair(10, "e", None)]
     assert bench_pairs.digest_mismatches(pairs) == [8, 10]
     assert bench_pairs.digest_mismatches(pairs[:1] + pairs[2:3]) == []
+
+
+def test_verdict_mismatches_name_seeds_whose_exit_or_failed_count_differ():
+    def pair(seed, parent, change):
+        return {
+            "seed": seed,
+            "parent": {"exit": parent[0], "failed": parent[1], "digest": "a"},
+            "change": {"exit": change[0], "failed": change[1], "digest": "b"},
+        }
+
+    pairs = [pair(30, (1, 1), (0, 0)), pair(31, (0, 0), (0, 0)), pair(38, (1, 1), (1, 2)),
+             pair(39, (1, 1), (1, 1)), pair(40, (0, 0), (1, 0))]  # fmt: skip
+    assert bench_pairs.verdict_mismatches(pairs) == [30, 38, 40]
+    # digests may move while every verdict holds
+    assert bench_pairs.digest_mismatches(pairs[1:2] + pairs[3:4]) == [31, 39]
+    assert bench_pairs.verdict_mismatches(pairs[1:2] + pairs[3:4]) == []

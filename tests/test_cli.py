@@ -131,6 +131,7 @@ def test_assess_quality(tmp_path):
         ("blur_threshold", "nan", "must be 'auto' or finite"),
         ("sigma", "nan", "must be positive and finite"),
         ("sigma", "inf", "must be positive and finite"),
+        ("sigma", "1e-200", "must be positive and finite"),
         ("blur_percentile", "150", "must lie in [0, 100]"),
         ("blur_percentile", "nan", "must lie in [0, 100]"),
     ],
@@ -284,9 +285,43 @@ def test_failure_removes_partial_outputs(tmp_path):
     cfg = write_config(
         tmp_path / "c.txt", out_dir=out, corpus_manifest=tmp_path / "missing.txt", epochs=1
     )
-    assert run(["train", cfg]) == 1
+    assert run(["train", cfg]) == 2
     assert not (out / "config.txt").exists()
     assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("simulate-trigger", "trace"),
+        ("assess-quality", "images"),
+        ("evaluate", "corpus_manifest"),  # train's case: test_failure_removes_partial_outputs
+        ("cl-run", "checkpoint"),
+        ("cl-run", "task_stream"),
+    ],
+)
+def test_missing_input_file_is_a_usage_error_in_every_command(tmp_path, capsys, command, key):
+    from surfsense import classifier
+
+    ckpt = tmp_path / "init.bin"
+    classifier.save_checkpoint(classifier.init_params(seed=6), ckpt)
+    stream = tmp_path / "stream.txt"
+    stream.write_text("")
+    inputs = {"checkpoint": ckpt, "task_stream": stream, key: tmp_path / "missing.txt"}
+    if command != "cl-run":
+        inputs = {key: inputs[key]}
+    out = tmp_path / "run"
+    assert run([command, write_config(tmp_path / "c.txt", out_dir=out, **inputs)]) == 2
+    assert f"error: config: cannot read {tmp_path / 'missing.txt'}: not a file" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_validate_missing_mapping_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "pairs.txt"
+    assert run(["validate", "bed", "ceramic", "--mapping-file", missing]) == 2
+    assert f"error: cannot read {missing}: not a file" in capsys.readouterr().err
 
 
 def test_commands_do_not_mutate_inputs(tmp_path):

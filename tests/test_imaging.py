@@ -154,6 +154,15 @@ def test_gaussian_kernel_rejects_non_positive_or_non_finite_sigma(sigma):
         gaussian_kernel_1d(sigma)
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e-163, 5e-324])
+def test_gaussian_kernel_rejects_sigma_whose_square_underflows(sigma):
+    assert 2.0 * sigma**2 == 0.0  # the exponent's divisor
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        gaussian_kernel_1d(sigma)
+    # a tiny sigma that passes gives a finite, unit kernel
+    assert np.array_equal(gaussian_kernel_1d(1e-154), [0.0, 1.0, 0.0])
+
+
 def test_constant_image_scores_zero():
     score = log_sharpness(gray(32, 32, 0.4), sigma=1.0)
     assert score.log_variance == 0.0

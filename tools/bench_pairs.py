@@ -11,7 +11,8 @@ One comparison is appended to ``BENCH_<workload>.json`` at the root of
 the repository holding this script: every run's end-to-end metrics and
 failed/attempted counts, and per metric each side's quartiles and the
 number of pairs each side won (ties count for neither), with the
-verdicts that :func:`summarize` defines.  The file is
+verdicts that :func:`summarize` defines, and the seeds whose two runs
+differ in output digest or in verdict (exit status or failed count).  The file is
 rewritten after every pair, so a batch cut short keeps the pairs it ran.
 Standard library only.
 """
@@ -110,6 +111,14 @@ def digest_mismatches(pairs: list) -> list:
     return [p["seed"] for p in pairs if p["parent"]["digest"] != p["change"]["digest"]]
 
 
+def verdict_mismatches(pairs: list) -> list:
+    """Seeds of the pairs whose parent and change runs differ in exit status or failed count."""
+    def verdict(run: dict) -> tuple:
+        return run["exit"], run["failed"]
+
+    return [p["seed"] for p in pairs if verdict(p["parent"]) != verdict(p["change"])]
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -149,6 +158,7 @@ def main(argv=None) -> int:
         }  # fmt: skip
         entry["metrics"] = summarize(entry["pairs"], bench["end_to_end"])
         entry["digest_mismatch_seeds"] = digest_mismatches(entry["pairs"])
+        entry["verdict_mismatch_seeds"] = verdict_mismatches(entry["pairs"])
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, m in entry["metrics"].items():
         print(
@@ -157,8 +167,11 @@ def main(argv=None) -> int:
             f"claim holds {m['claim_holds']}; regressed {m['regressed']}; "
             f"disjoint {m['disjoint']}",
         )
-    differ = entry["digest_mismatch_seeds"]
-    print(f"output digests differ at seeds {differ}" if differ else "output digests match")
+    differ, verdicts = entry["digest_mismatch_seeds"], entry["verdict_mismatch_seeds"]
+    print(
+        (f"output digests differ at seeds {differ}" if differ else "output digests match")
+        + (f"; verdicts differ at seeds {verdicts}" if verdicts else "; verdicts match")
+    )
     return 0
 
 
