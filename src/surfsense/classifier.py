@@ -255,13 +255,10 @@ def _tap_offset(ki: int, kj: int, wo: int) -> Tuple[int, int]:
 
 def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Depthwise 3x3/stride-2 conv of an (N, C, H, W) view of a channel-major
-    buffer; returns the output view and the parity planes of the input.
-
-    Output cell (i, j) sits at the same flat grid position g as plane cell
-    (i, j), and tap (ki, kj) reads its plane at g plus a flat offset, so
-    each tap is one contiguous multiply-add over the whole grid.  Every
-    cell sums its taps in order k = 0..8 from zero and adds the bias last,
-    the sums of a strided conv over the zero-padded input."""
+    buffer; returns the output view and the input's parity planes.  Output
+    cell (i, j) and plane cell (i, j) share a flat grid position, so each
+    tap is one multiply-add over the grid at the tap's offset; every cell
+    sums its taps in order k = 0..8 from zero and adds the bias last."""
     n, c, h, wd = x.shape
     ho, wo = _out_hw(h, wd)
     planes = _parity_planes(_swap(x))
