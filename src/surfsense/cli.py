@@ -99,6 +99,7 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "k": (int, 10),
     # continual learning
     "task_stream": (str, ""),
+    "buffer_seed_manifest": (str, ""),  # records streamed into the buffer before task 1
     "buffer_capacity": (int, 500),
     "gamma": (float, 0.75),
     "replay_batch": (int, 16),
@@ -378,7 +379,6 @@ def _read_task_stream(path: Path) -> List[Task]:
     errors inside a manifest are the manifest reader's own."""
     tasks = []
     base = path.parent
-    mapping = synth.extended_mapping()
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
@@ -401,11 +401,14 @@ def _read_task_stream(path: Path) -> List[Task]:
             for manifest in manifests:
                 if not manifest.is_file():
                     raise ConfigError(f"{where}: cannot read {manifest}: not a file")
-            train_c, eval_c = (
-                corpus_mod.read_manifest(m, m.parent, mapping=mapping) for m in manifests
-            )
-            tasks.append(Task(task_id, tuple(train_c.records), tuple(eval_c.records)))
+            tasks.append(Task(task_id, *(_stream_records(m) for m in manifests)))
     return tasks
+
+
+def _stream_records(manifest: Path) -> Tuple[corpus_mod.SampleRecord, ...]:
+    """A manifest's records over the base taxonomy grown with the novel classes."""
+    mapping = synth.extended_mapping()
+    return tuple(corpus_mod.read_manifest(manifest, manifest.parent, mapping=mapping).records)
 
 
 def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
@@ -413,6 +416,10 @@ def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
     tasks = _read_task_stream(_input_file(_require(cfg, "task_stream")))
     clcfg = _cl_config(cfg)
     buf = ReplayBuffer(capacity=int(cfg["buffer_capacity"]), sampling_mode=clcfg.buffer_mode())
+    if cfg["buffer_seed_manifest"]:  # seed the buffer as harness.cl_evaluation does
+        seed_records = _stream_records(_input_file(cfg["buffer_seed_manifest"]))
+        rng = np.random.default_rng(np.random.SeedSequence((int(cfg["seed"]), 81)))
+        replay.fill_from_records(buf, seed_records, rng, params)
     result = replay.cl_run(params, tasks, clcfg, buf)
     classifier.save_checkpoint(result.params, out.path("checkpoint.bin"))
     with open(out.path("metrics.csv"), "w", encoding="utf-8") as fp:

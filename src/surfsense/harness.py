@@ -313,18 +313,6 @@ class CLEvalReport:
         )
 
 
-def _accuracy_pair(
-    params: ModelParams, records: Sequence[SampleRecord], bias=None
-) -> Tuple[float, float]:
-    if bias is None:
-        pred_o, pred_m = classifier.predict_records(params, list(records))
-    else:
-        pred_o, pred_m = replay.predict_with_bias(params, list(records), bias)
-    lab_o = np.array([r.object for r in records])
-    lab_m = np.array([r.material for r in records])
-    return top1_accuracy(pred_o, lab_o), top1_accuracy(pred_m, lab_m)
-
-
 def build_cl_eval(
     seed: int,
     images_per_class: int = 100,
@@ -387,7 +375,7 @@ def cl_evaluation(setup: CLEvalSetup) -> CLEvalReport:
         "hardened": setup.hardened_test,
         "novel": setup.novel_test,
     }
-    er_off = {name: _accuracy_pair(setup.pretrained, recs) for name, recs in sets.items()}
+    er_off = {name: replay.accuracy_pair(setup.pretrained, recs) for name, recs in sets.items()}
 
     buf = ReplayBuffer(capacity=setup.buffer_capacity, sampling_mode=setup.cl.buffer_mode())
     rng = np.random.default_rng(np.random.SeedSequence((setup.seed, 81)))
@@ -398,7 +386,7 @@ def cl_evaluation(setup: CLEvalSetup) -> CLEvalReport:
     ]
     outcome = replay.cl_run(setup.pretrained, stream, setup.cl, buf)
     er_on = {
-        name: _accuracy_pair(outcome.params, recs, outcome.bias)
+        name: replay.accuracy_pair(outcome.params, recs, outcome.bias)
         for name, recs in sets.items()
     }
     return CLEvalReport(er_off=er_off, er_on=er_on)
@@ -452,21 +440,21 @@ def forgetting_experiment(
         seed=init_seed, object_classes=obj_a, material_classes=mat_a, dtype=np.float32
     )
     pre = classifier.train(params0, a_train, cl_cfg.train).params
-    acc_pre = _accuracy_pair(pre, a_test)[1]
+    acc_pre = replay.accuracy_pair(pre, a_test)[1]
 
     # Naive fine-tuning: buffer off, tricks off.
     naive_cfg = replace(cl_cfg, tricks=replay.CLTricks())
     naive_buf = ReplayBuffer(capacity=0)
     naive = replay.cl_run(pre, [Task(1, tuple(b_train), tuple(b_test))], naive_cfg, naive_buf)
-    acc_naive = _accuracy_pair(naive.params, a_test)[1]
+    acc_naive = replay.accuracy_pair(naive.params, a_test)[1]
 
     # Full experience replay.
     er_buf = ReplayBuffer(capacity=buffer_capacity, sampling_mode=cl_cfg.buffer_mode())
     rng = np.random.default_rng(np.random.SeedSequence((init_seed, 82)))
     replay.fill_from_records(er_buf, a_train, rng, pre)
     er = replay.cl_run(pre, [Task(1, tuple(b_train), tuple(b_test))], cl_cfg, er_buf)
-    acc_er = _accuracy_pair(er.params, a_test, er.bias)[1]
-    acc_b_er = _accuracy_pair(er.params, b_test, er.bias)[1]
+    acc_er = replay.accuracy_pair(er.params, a_test, er.bias)[1]
+    acc_b_er = replay.accuracy_pair(er.params, b_test, er.bias)[1]
 
     # Joint-training reference on A + B together.
     obj_all = sorted({r.object for r in a_train + b_train})
@@ -475,7 +463,7 @@ def forgetting_experiment(
         seed=init_seed, object_classes=obj_all, material_classes=mat_all, dtype=np.float32
     )
     joint = classifier.train(joint0, a_train + b_train, cl_cfg.train).params
-    acc_joint = _accuracy_pair(joint, a_test)[1]
+    acc_joint = replay.accuracy_pair(joint, a_test)[1]
 
     return ForgettingReport(
         task_a_after_pretrain=acc_pre,

@@ -376,6 +376,17 @@ def predict_with_bias(
     )
 
 
+def accuracy_pair(
+    params: ModelParams, records: Sequence[SampleRecord], bias: BiasParams = BiasParams()
+) -> Tuple[float, float]:
+    """Top-1 accuracy of both heads over ``records``, predicted by :func:`predict_with_bias`."""
+    pred_o, pred_m = predict_with_bias(params, records, bias)
+    return (
+        float(np.mean(pred_o == np.array([r.object for r in records]))),
+        float(np.mean(pred_m == np.array([r.material for r in records]))),
+    )
+
+
 # --- the continual-learning run ----------------------------------------------
 
 
@@ -487,12 +498,6 @@ def cl_run(
         for prev in seen_tasks:
             if len(prev.eval_records) == 0:
                 continue
-            pred_o, pred_m = predict_with_bias(params, list(prev.eval_records), bias)
-            acc_o = float(
-                np.mean(pred_o == np.array([r.object for r in prev.eval_records]))
-            )
-            acc_m = float(
-                np.mean(pred_m == np.array([r.material for r in prev.eval_records]))
-            )
-            result.metrics.append((task.task_id, prev.task_id, acc_o, acc_m))
+            acc = accuracy_pair(params, list(prev.eval_records), bias)
+            result.metrics.append((task.task_id, prev.task_id, *acc))
     return result

@@ -17,6 +17,7 @@ lossless.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -88,24 +89,29 @@ class SynthSpec:
     person_jitter: float = 1.0  # scales household-to-household variation
 
 
-def value_noise(
-    side: int, cells_y: int, cells_x: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Smooth value noise in [0, 1]: random lattice, cosine interpolation."""
+@lru_cache(maxsize=None)
+def _samples(side: int, cells: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice index, cosine weight and 1 - weight of ``side`` samples over ``cells`` cells."""
+    pos = np.linspace(0.0, cells, side, endpoint=False)
+    i = np.floor(pos).astype(int)
+    f = 0.5 - 0.5 * np.cos(np.pi * (pos - i))
+    out = (i, f, 1 - f)
+    for a in out:
+        a.flags.writeable = False  # cached: no caller may change a later call's grid
+    return out
+
+
+def value_noise(side: int, cells_y: int, cells_x: int, rng: np.random.Generator) -> np.ndarray:
+    """Smooth value noise in [0, 1]: random lattice, cosine interpolation.
+
+    Each lattice row is interpolated along x once; each output row then
+    blends its two interpolated lattice rows along y.  The sample grids of
+    a (side, cells) pair are computed once and cached read-only."""
     grid = rng.random((cells_y + 1, cells_x + 1))
-    ys = np.linspace(0.0, cells_y, side, endpoint=False)
-    xs = np.linspace(0.0, cells_x, side, endpoint=False)
-    iy = np.floor(ys).astype(int)
-    ix = np.floor(xs).astype(int)
-    fy = 0.5 - 0.5 * np.cos(np.pi * (ys - iy))
-    fx = 0.5 - 0.5 * np.cos(np.pi * (xs - ix))
-    g00 = grid[np.ix_(iy, ix)]
-    g01 = grid[np.ix_(iy, ix + 1)]
-    g10 = grid[np.ix_(iy + 1, ix)]
-    g11 = grid[np.ix_(iy + 1, ix + 1)]
-    top = g00 * (1 - fx)[None, :] + g01 * fx[None, :]
-    bot = g10 * (1 - fx)[None, :] + g11 * fx[None, :]
-    return top * (1 - fy)[:, None] + bot * fy[:, None]
+    iy, fy, gy = _samples(side, cells_y)
+    ix, fx, gx = _samples(side, cells_x)
+    rows = grid[:, ix] * gx + grid[:, ix + 1] * fx
+    return rows[iy] * gy[:, None] + rows[iy + 1] * fy[:, None]
 
 
 def fbm_noise(side: int, base_cells: int, octaves: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,19 +127,11 @@ def fbm_noise(side: int, base_cells: int, octaves: int, rng: np.random.Generator
     return out / total
 
 
-def _coords(side: int) -> Tuple[np.ndarray, np.ndarray]:
-    ys, xs = np.meshgrid(
-        np.arange(side, dtype=float) / side,
-        np.arange(side, dtype=float) / side,
-        indexing="ij",
-    )
-    return ys, xs
-
-
 def _texture_field(style: MaterialStyle, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     """Scalar luminance modulation field in roughly [-1, 1]."""
     side = spec.side
-    ys, xs = _coords(side)
+    xs = np.arange(side, dtype=float) / side  # positions in [0, 1); broadcast as a grid
+    ys = xs[:, None]
     kind = style.kind
 
     if kind == "weave":
@@ -214,11 +212,13 @@ def render_texture(
     base = np.asarray(style.base_color) + color_jitter
     if tint is not None:
         base = base * tint
-    px = np.clip(base[None, None, :] * lum[:, :, None] * brightness, 0.0, 1.0)
+    px = base[None, None, :] * lum[:, :, None]
+    px *= brightness
+    np.clip(px, 0.0, 1.0, out=px)
     # Quantize through uint8 exactly as the PPM writer/reader pair does,
     # so in-memory corpora match their disk round-trip bit for bit.
-    q = np.clip(np.rint(px * 255.0), 0, 255).astype(np.uint8)
-    return Image(q.astype(np.float32) / np.float32(255.0))
+    q = np.rint(np.multiply(px, 255.0, out=px), out=px).astype(np.uint8).astype(np.float32)
+    return Image(np.divide(q, np.float32(255.0), out=q))
 
 
 def _person_assignments(
@@ -232,6 +232,13 @@ def _person_assignments(
     if not present:
         return []
     return [present[j % len(present)] for j in range(spec.images_per_class)]
+
+
+def _person_jitter(spec: SynthSpec, mi: int, person: int) -> Tuple[np.ndarray, float]:
+    """Colour jitter and brightness shared by every image of one (material, person) cell."""
+    rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed, 23, mi, person)))
+    colour = spec.person_jitter * rng.uniform(-0.035, 0.035, size=3)
+    return colour, 1.0 + spec.person_jitter * rng.uniform(-0.05, 0.05)
 
 
 def synth_generate(spec: SynthSpec) -> Corpus:
@@ -260,21 +267,12 @@ def synth_generate(spec: SynthSpec) -> Corpus:
         style = styles[m]
         persons = _person_assignments(spec, m)
         objs = mat_objects[m]
-        n_present = len(set(persons)) if persons else 0
+        jitters = {p: _person_jitter(spec, mi, p) for p in set(persons)}
+        n_present = len(jitters)
         for j, person in enumerate(persons):
             obj_slug = objs[(j // max(n_present, 1)) % len(objs)]
-            ss = np.random.SeedSequence(
-                (spec.rng_seed, 11, mi, j)
-            )
-            rng = np.random.default_rng(ss)
-            jitter_rng = np.random.default_rng(
-                np.random.SeedSequence((spec.rng_seed, 23, mi, person))
-            )
-            color_jitter = spec.person_jitter * jitter_rng.uniform(-0.035, 0.035, size=3)
-            brightness = 1.0 + spec.person_jitter * jitter_rng.uniform(-0.05, 0.05)
-            img = render_texture(
-                style, spec, rng, color_jitter, brightness, tint=object_tint(obj_slug)
-            )
+            rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed, 11, mi, j)))
+            img = render_texture(style, spec, rng, *jitters[person], tint=object_tint(obj_slug))
             rec = SampleRecord(
                 person_id=person,
                 object=tax.object_index(obj_slug),

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -78,3 +79,25 @@ def test_verdict_mismatches_name_seeds_whose_exit_or_failed_count_differ():
     # digests may move while every verdict holds
     assert bench_pairs.digest_mismatches(pairs[1:2] + pairs[3:4]) == [31, 39]
     assert bench_pairs.verdict_mismatches(pairs[1:2] + pairs[3:4]) == []
+
+
+def test_run_bench_records_each_runs_median_setup_repeat(tmp_path):
+    info = {"setup_runs_s": [0.30, 0.10, 0.20, 0.50], "digest": "d", "env": {}}
+    result = {"attempted": 3, "failed": 0, "metrics": {"setup_s": {"value": 0.45}}}
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        f"print({json.dumps(json.dumps({'info': info}))})\n"
+        f"print({json.dumps(json.dumps(result))})\n"
+    )
+    run = bench_pairs.run_bench(tmp_path, "kfold_train", 1, 0)
+    assert run["setup_run_median_s"] == 0.25
+    assert run["metrics"] == {"setup_s": 0.45} and run["digest"] == "d"
+
+    def side(median):
+        return {"setup_run_median_s": median}
+
+    pairs = [{"parent": side(p), "change": side(c)} for p, c in [(0.25, 0.125), (0.75, 0.375)]]
+    assert bench_pairs.setup_run_quartiles(pairs) == {
+        "parent": {"q1": 0.375, "median": 0.5, "q3": 0.625},
+        "change": {"q1": 0.1875, "median": 0.25, "q3": 0.3125},
+    }

@@ -268,6 +268,40 @@ def test_cl_run_command(tmp_path):
     assert len(metrics) == 2
 
 
+def test_cl_run_seeds_its_buffer_from_a_manifest(tmp_path, capsys):
+    gen_out = tmp_path / "gen"
+    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=2, persons=2, side=16, seed=4)
+    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
+    manifest = gen_out / "corpus" / "manifest.txt"
+    ckpt = tmp_path / "init.bin"
+    from surfsense import classifier
+
+    classifier.save_checkpoint(classifier.init_params(seed=4), ckpt)
+    stream = tmp_path / "stream.txt"
+    rel = manifest.relative_to(tmp_path)
+    stream.write_text(f"1 {rel} {rel}\n")
+
+    def cl_run(name, **extra):
+        out = tmp_path / name
+        cfg = write_config(
+            tmp_path / f"{name}.txt", out_dir=out, checkpoint=ckpt, task_stream=stream,
+            epochs=1, seed=4, buffer_capacity=64, tricks="all", **extra,
+        )  # fmt: skip
+        capsys.readouterr()
+        assert run(["cl-run", cfg]) == 0
+        digests = tree_digest(out)
+        del digests["config.txt"]  # names its own out_dir
+        return capsys.readouterr().out, digests
+
+    plain_out, plain = cl_run("plain")
+    seeded_out, seeded = cl_run("seeded", buffer_seed_manifest=manifest)
+    # 18 task records alone, or 18 seed records first and the task's 18 after
+    assert "buffer holds 18 items" in plain_out and "buffer holds 36 items" in seeded_out
+    # task 1 replays the seeded items, so it trains on other batches
+    assert seeded["checkpoint.bin"] != plain["checkpoint.bin"]
+    assert cl_run("seeded_again", buffer_seed_manifest=manifest)[1] == seeded
+
+
 def test_validate_exit_codes(capsys):
     assert run(["validate", "bed", "plush"]) == 0
     assert run(["validate", "bed", "ceramic"]) == 1
@@ -298,6 +332,7 @@ def test_failure_removes_partial_outputs(tmp_path):
         ("evaluate", "corpus_manifest"),  # train's case: test_failure_removes_partial_outputs
         ("cl-run", "checkpoint"),
         ("cl-run", "task_stream"),
+        ("cl-run", "buffer_seed_manifest"),
     ],
 )
 def test_missing_input_file_is_a_usage_error_in_every_command(tmp_path, capsys, command, key):

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from surfsense import synth
+from surfsense import harness, synth
 from surfsense.corpus import (
     Corpus,
     frame_sample,
@@ -354,3 +358,105 @@ def test_novel_spec_generates_extended_classes():
         assert corpus.mapping.is_valid(
             tax.object_slug(r.object), tax.material_slug(r.material)
         )
+
+
+# --- value noise and golden corpus digests ---
+
+
+def reference_value_noise(side, cells_y, cells_x, rng):
+    """The former formulation: four (side, side) lattice gathers, each
+    output row interpolated along x on its own.  Kept as the bit reference."""
+    grid = rng.random((cells_y + 1, cells_x + 1))
+    ys = np.linspace(0.0, cells_y, side, endpoint=False)
+    xs = np.linspace(0.0, cells_x, side, endpoint=False)
+    iy = np.floor(ys).astype(int)
+    ix = np.floor(xs).astype(int)
+    fy = 0.5 - 0.5 * np.cos(np.pi * (ys - iy))
+    fx = 0.5 - 0.5 * np.cos(np.pi * (xs - ix))
+    g00 = grid[np.ix_(iy, ix)]
+    g01 = grid[np.ix_(iy, ix + 1)]
+    g10 = grid[np.ix_(iy + 1, ix)]
+    g11 = grid[np.ix_(iy + 1, ix + 1)]
+    top = g00 * (1 - fx)[None, :] + g01 * fx[None, :]
+    bot = g10 * (1 - fx)[None, :] + g11 * fx[None, :]
+    return top * (1 - fy)[:, None] + bot * fy[:, None]
+
+
+@st.composite
+def noise_shapes(draw):
+    side = draw(st.integers(1, 96))
+    cells = st.one_of(st.just(side), st.just(max(side // 2, 1)), st.integers(1, side))
+    return side, draw(cells), draw(cells), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(noise_shapes())
+@example((1, 1, 1, 0))
+@example((96, 96, 48, 1))
+@example((33, 16, 3, 2))
+def test_value_noise_bit_equal_to_reference(shape):
+    side, cells_y, cells_x, seed = shape
+    got = synth.value_noise(side, cells_y, cells_x, np.random.default_rng(seed))
+    want = reference_value_noise(side, cells_y, cells_x, np.random.default_rng(seed))
+    assert got.shape == want.shape == (side, side)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_value_noise_cache_does_not_leak_between_calls():
+    want = reference_value_noise(40, 5, 20, np.random.default_rng(8))
+    first = synth.value_noise(40, 5, 20, np.random.default_rng(8))
+    first[:] = -1.0
+    again = synth.value_noise(40, 5, 20, np.random.default_rng(8))
+    assert again.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        synth._samples(40, 5)[1][0] = 0.5
+
+
+def _pixel_digest(records):
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(rec.image.pixels.tobytes())
+    return h.hexdigest()
+
+
+# Every material style (the nine base ones, then skin and paper) at 64 px,
+# 224 px and an odd side; any change that moves one pixel bit fails here.
+GOLDEN_CORPORA = {
+    "base_64": (
+        lambda: SynthSpec(rng_seed=5, images_per_class=2, side=64, persons=2),
+        "836ef0bc10578c4d28a1dd153b9463947f580bc63fb366cedab020cf9a066c6b",
+    ),
+    "novel_64": (
+        lambda: synth.novel_spec(5, 2, side=64, persons=2),
+        "3dd3a503c2a564729a7e420e0fdad5a5a8c45c1eeef087171731782b046a6763",
+    ),
+    "base_224": (
+        lambda: SynthSpec(rng_seed=6, images_per_class=1, side=224, persons=1),
+        "129be1e6bc9dd178b73fcdab41f9b31b32b2f75346250731b159b4d95af363cf",
+    ),
+    "novel_224": (
+        lambda: synth.novel_spec(6, 1, side=224, persons=1),
+        "79e31acae5a8ee055e4decdf2a29024e67509a299d97d29893badcf9e39cba31",
+    ),
+    "base_33": (
+        lambda: SynthSpec(rng_seed=7, images_per_class=2, side=33, persons=2),
+        "0aaf3c340534c6b634ac3d8b11ecc66e6daa439ec7f8c600f5997fcfe376bd21",
+    ),
+    "novel_33": (
+        lambda: synth.novel_spec(7, 2, side=33, persons=2),
+        "d98d50232bc4282d442cac91ca2fa9a91108d907848559a68c8e4165e55e67d2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CORPORA))
+def test_corpus_pixels_match_golden_digest(name):
+    spec, digest = GOLDEN_CORPORA[name]
+    assert _pixel_digest(synth_generate(spec()).records) == digest
+
+
+def test_hardened_corpus_matches_golden_digest():
+    records = synth_generate(GOLDEN_CORPORA["base_64"][0]()).records
+    assert _pixel_digest(harness.harden_records(records, 9)) == (
+        "5b3fe623e5b0ed59efba003fe8317e4d4c63308f151fdac7ad24a5c603f0f1e4"
+    )

@@ -8,8 +8,10 @@ pair to the next.  The run length T, the end-to-end metrics and their
 direction come from ``BENCHMARK.json`` next to this script.
 
 One comparison is appended to ``BENCH_<workload>.json`` at the root of
-the repository holding this script: every run's end-to-end metrics and
-failed/attempted counts, and per metric each side's quartiles and the
+the repository holding this script: every run's end-to-end metrics,
+failed/attempted counts and median set-up repeat (``setup_s`` less its
+import time; each side's quartiles of it are printed under ``setup_s``),
+and per metric each side's quartiles and the
 number of pairs each side won (ties count for neither), with the
 verdicts that :func:`summarize` defines, and the seeds whose two runs
 differ in output digest or in verdict (exit status or failed count).  The file is
@@ -58,6 +60,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        # set-up time without the one import-time sample that setup_s adds
+        "setup_run_median_s": statistics.median(info["setup_runs_s"]),
         "digest": info.get("digest"),
         "git_sha": env.get("git_sha"),
         "git_dirty": env.get("git_dirty"),
@@ -104,6 +108,11 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             > max(sign * p for p in values["parent"]),
         }
     return out
+
+
+def setup_run_quartiles(pairs: list) -> dict:
+    """Per side, the quartiles of each run's median set-up repeat."""
+    return {side: quartiles([p[side]["setup_run_median_s"] for p in pairs]) for side in SIDES}
 
 
 def digest_mismatches(pairs: list) -> list:
@@ -157,6 +166,7 @@ def main(argv=None) -> int:
             for side in SIDES
         }  # fmt: skip
         entry["metrics"] = summarize(entry["pairs"], bench["end_to_end"])
+        entry["setup_run_median_s"] = setup_run_quartiles(entry["pairs"])
         entry["digest_mismatch_seeds"] = digest_mismatches(entry["pairs"])
         entry["verdict_mismatch_seeds"] = verdict_mismatches(entry["pairs"])
         out_path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -167,6 +177,15 @@ def main(argv=None) -> int:
             f"claim holds {m['claim_holds']}; regressed {m['regressed']}; "
             f"disjoint {m['disjoint']}",
         )
+        if name == "setup_s":
+            runs = entry["setup_run_median_s"]
+            print(
+                "  set-up repeats alone (per-run medians, q1/median/q3 s): "
+                + "; ".join(
+                    f"{side} {q['q1']:.4g}/{q['median']:.4g}/{q['q3']:.4g}"
+                    for side, q in runs.items()
+                )
+            )
     differ, verdicts = entry["digest_mismatch_seeds"], entry["verdict_mismatch_seeds"]
     print(
         (f"output digests differ at seeds {differ}" if differ else "output digests match")
