@@ -89,7 +89,7 @@ class SynthSpec:
     person_jitter: float = 1.0  # scales household-to-household variation
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # a few kB an entry; a 64- or 224-px corpus fills 12-14
 def _samples(side: int, cells: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lattice index, cosine weight and 1 - weight of ``side`` samples over ``cells`` cells."""
     pos = np.linspace(0.0, cells, side, endpoint=False)

@@ -9,12 +9,12 @@ direction come from ``BENCHMARK.json`` next to this script.
 
 One comparison is appended to ``BENCH_<workload>.json`` at the root of
 the repository holding this script: every run's end-to-end metrics,
-failed/attempted counts and median set-up repeat (``setup_s`` less its
-import time; each side's quartiles of it are printed under ``setup_s``),
-and per metric each side's quartiles and the
-number of pairs each side won (ties count for neither), with the
-verdicts that :func:`summarize` defines, and the seeds whose two runs
-differ in output digest or in verdict (exit status or failed count).  The file is
+failed/attempted counts and median set-up repeat (``setup_s`` without
+its import time; each side's quartiles of it are printed under
+``setup_s``), and per metric each side's quartiles and the number of
+pairs each side won (ties count for neither), with the verdicts that
+:func:`summarize` defines, and the seeds whose two runs differ in output
+digest or in verdict (exit status or failed count).  The file is
 rewritten after every pair, so a batch cut short keeps the pairs it ran.
 Standard library only.
 """
@@ -42,7 +42,8 @@ def parse_seeds(text: str) -> list:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run: its result line plus the output digest, git state and load it reported."""
+    """One untraced run: its result line plus the median set-up repeat, output
+    digest, git state and load it reported."""
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -60,7 +61,6 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-        # set-up time without the one import-time sample that setup_s adds
         "setup_run_median_s": statistics.median(info["setup_runs_s"]),
         "digest": info.get("digest"),
         "git_sha": env.get("git_sha"),
