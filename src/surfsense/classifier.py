@@ -90,8 +90,19 @@ class TrainConfig:
     standardize: bool = False
 
     def __post_init__(self) -> None:
-        if self.lr0 < 0 or self.batch < 1 or self.epochs < 1:
-            raise ValueError("invalid training configuration")
+        # Each check names its field; a comparison with nan is false.
+        if not 0 <= self.lr0 < np.inf:
+            raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0!r}")
+        for name in ("batch", "epochs"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        if self.input_side is not None and not self.input_side >= 1:
+            raise ValueError(f"input_side must be None or >= 1, got {self.input_side!r}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +176,10 @@ def init_params(
 # the four parity planes of the padded input (``_parity_planes``), each a
 # zero-edged (ho+1, wo+1) grid per sample flattened to (C, N*(ho+1)*(wo+1)),
 # so every tap of the forward, the input gradient and the weight gradient
-# is one contiguous operation at a flat offset.  Bias gradients sum in the
-# order numpy uses for a C-ordered (N, C, H, W) array (``_sum_nhw``).  All
+# is one operation at a flat offset; the forward and input-gradient taps
+# run over whole rows of a flat buffer with spare cells.  Bias gradients
+# sum in the order numpy uses for a C-ordered (N, C, H, W) array
+# (``_sum_nhw``).  All
 # outputs and gradients but the depthwise weight gradients equal those of
 # per-sample (N, C, H, W) kernels bit for bit wherever the last map is
 # larger than 1x1 (the tests keep such kernels as the reference).  Each
@@ -235,17 +248,20 @@ _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def _parity_planes(xc: np.ndarray) -> np.ndarray:
     """The four parity phases of a channel-major (C, N, H, W) input padded
-    by one, as a (4, C, N*(ho+1)*(wo+1)) array: plane ``_PHASES.index((pi,
-    pj))`` holds the padded pixels (2*r + pi, 2*s + pj) on a zero-edged
-    (ho+1, wo+1) grid per sample."""
+    by one, as a flat zeroed buffer that holds a (4, C, N*(ho+1)*(wo+1))
+    array and then wo + 2 more cells: plane ``_PHASES.index((pi, pj))``
+    holds the padded pixels (2*r + pi, 2*s + pj) on a zero-edged (ho+1,
+    wo+1) grid per sample.  The spare cells let every tap read whole rows."""
     c, n, h, wd = xc.shape
     ho, wo = _out_hw(h, wd)
-    planes = np.zeros((4, c, n, ho + 1, wo + 1), dtype=xc.dtype)
+    size = n * (ho + 1) * (wo + 1)
+    flat = np.zeros(4 * c * size + wo + 2, dtype=xc.dtype)
+    planes = flat[: 4 * c * size].reshape(4, c, n, ho + 1, wo + 1)
     for p, (pi, pj) in enumerate(_PHASES):
         # Padded row 2*r + pi is input row 2*r + pi - 1.
         src = xc[:, :, 1 - pi :: 2, 1 - pj :: 2]
         planes[p, :, :, 1 - pi : 1 - pi + src.shape[2], 1 - pj : 1 - pj + src.shape[3]] = src
-    return planes.reshape(4, c, -1)
+    return flat
 
 
 def _tap_offset(ki: int, kj: int, wo: int) -> Tuple[int, int]:
@@ -253,27 +269,33 @@ def _tap_offset(ki: int, kj: int, wo: int) -> Tuple[int, int]:
     return 2 * (ki % 2) + kj % 2, (ki // 2) * (wo + 1) + kj // 2
 
 
+def _rows(flat: np.ndarray, start: int, c: int, size: int) -> np.ndarray:
+    return flat[start : start + c * size].reshape(c, size)
+
+
 def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Depthwise 3x3/stride-2 conv of an (N, C, H, W) view of a channel-major
     buffer; returns the output view and the input's parity planes.  Output
     cell (i, j) and plane cell (i, j) share a flat grid position, so each
     tap is one multiply-add over the grid at the tap's offset; every cell
-    sums its taps in order k = 0..8 from zero and adds the bias last."""
+    sums its taps in order k = 0..8 from zero and adds the bias last.  A
+    tap works on whole rows: the last ``off`` cells of a channel's row read
+    on into the next row, and they are edge cells, which no output keeps."""
     n, c, h, wd = x.shape
     ho, wo = _out_hw(h, wd)
-    planes = _parity_planes(_swap(x))
-    size = planes.shape[2]
+    flat = _parity_planes(_swap(x))
+    size = n * (ho + 1) * (wo + 1)
     acc = np.zeros((c, size), dtype=x.dtype)
     tap = np.empty(acc.shape, dtype=np.result_type(w, x))
     for k in range(9):
         ki, kj = divmod(k, 3)
         p, off = _tap_offset(ki, kj, wo)
-        np.multiply(w[:, ki, kj, None], planes[p, :, off:], out=tap[:, : size - off])
-        acc[:, : size - off] += tap[:, : size - off]
+        np.multiply(w[:, ki, kj, None], _rows(flat, p * c * size + off, c, size), out=tap)
+        acc += tap
     out = np.empty((c, n, ho, wo), dtype=x.dtype)
     # last: a bias-first sum rounds differently
     np.add(acc.reshape(c, n, ho + 1, wo + 1)[:, :, :ho, :wo], b[:, None, None, None], out=out)
-    return _swap(out), planes
+    return _swap(out), flat[: 4 * c * size].reshape(4, c, size)
 
 
 def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray, x_shape):
@@ -284,8 +306,11 @@ def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray,
     n, c, h, wd = x_shape
     ho, wo = dout.shape[2], dout.shape[3]
     dc = _swap(dout)
-    # ``dc`` on the zero-edged (ho + 1, wo + 1) grid of the planes.
-    grid = np.zeros((c, n, ho + 1, wo + 1), dtype=dc.dtype)
+    # ``dc`` on the zero-edged (ho + 1, wo + 1) grid of the planes, after
+    # wo + 2 zero cells.
+    lead = wo + 2
+    gflat = np.zeros(lead + planes[0].size, dtype=dc.dtype)
+    grid = gflat[lead:].reshape(c, n, ho + 1, wo + 1)
     grid[:, :, :ho, :wo] = dc
     grid = grid.reshape(c, -1)
     size = grid.shape[1]
@@ -300,12 +325,18 @@ def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray,
         dw[:, ki, kj] = np.einsum("cg,cg->c", grid[:, : size - off], planes[p, :, off:])
         # The tap adds into the gradient of the plane it read, at the same
         # offset, so every cell takes its taps in order k = 0..8 from zero.
-        np.multiply(w[:, ki, kj, None], grid[:, : size - off], out=tap[:, : size - off])
-        dplanes[p, :, off:] += tap[:, : size - off]
-    dxp = np.empty((c, n, 2 * ho + 2, 2 * wo + 2), dtype=dc.dtype)
+        # On whole rows, a row's first ``off`` cells take the previous
+        # row's last grid cells, edge zeros: adding a zero leaves a sum
+        # that started at +0.0 as it is.
+        np.multiply(w[:, ki, kj, None], _rows(gflat, lead - off, c, size), out=tap)
+        dplanes[p] += tap
+    # Each input pixel is one cell of one plane (``_parity_planes``).
+    dx = np.empty((c, n, h, wd), dtype=dc.dtype)
     for p, (pi, pj) in enumerate(_PHASES):
-        dxp[:, :, pi::2, pj::2] = dplanes[p].reshape(c, n, ho + 1, wo + 1)
-    return _swap(dxp[:, :, 1 : h + 1, 1 : wd + 1]), dw, _sum_nhw(dc)
+        dst = dx[:, :, 1 - pi :: 2, 1 - pj :: 2]
+        grid_p = dplanes[p].reshape(c, n, ho + 1, wo + 1)
+        dst[...] = grid_p[:, :, 1 - pi : 1 - pi + dst.shape[2], 1 - pj : 1 - pj + dst.shape[3]]
+    return _swap(dx), dw, _sum_nhw(dc)
 
 
 def pointwise_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -531,25 +562,43 @@ def per_sample_losses(params: ModelParams, records: Sequence) -> np.ndarray:
 
 
 class Adam:
+    """Adam over the tensors that have a gradient.  The moments ``m`` and
+    ``v`` are one flat buffer each, in the parameters' dtype, laid out by
+    the first step's gradient keys in their order; each step concatenates
+    the gradients once, runs every element-wise operation once over all
+    of them, and subtracts each tensor's slice of the update from it.
+    Every element takes the operations of a per-tensor update, in order."""
+
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.cfg = cfg
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.dtype = params.dtype
+        self.keys: List[str] = []
+        self.m = self.v = np.zeros(0, dtype=self.dtype)
         self.t = 0
 
     def step(self, params: ModelParams, grads: Dict[str, np.ndarray], lr: float) -> None:
         cfg = self.cfg
+        if not self.keys:
+            self.keys = list(grads)
+            size = sum(g.size for g in grads.values())
+            self.m, self.v = np.zeros((2, size), dtype=self.dtype)
+        elif list(grads) != self.keys:
+            raise ValueError(f"gradient keys {list(grads)} differ from the first step's")
         self.t += 1
         bc1 = 1.0 - cfg.beta1**self.t
         bc2 = 1.0 - cfg.beta2**self.t
-        for k, g in grads.items():
-            m = self.m[k]
-            v = self.v[k]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            params.tensors[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        g = np.concatenate([g.reshape(-1) for g in grads.values()])
+        m, v = self.m, self.v
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        start = 0
+        for k, gk in grads.items():
+            w = params.tensors[k]
+            w -= update[start : start + gk.size].reshape(w.shape)
+            start += gk.size
 
 
 @dataclass

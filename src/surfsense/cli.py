@@ -171,15 +171,18 @@ class OutputDir:
 
 
 def _train_config(cfg: Dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        lr0=float(cfg["lr0"]),
-        batch=int(cfg["batch"]),
-        epochs=int(cfg["epochs"]),
-        seed=int(cfg["seed"]),
-        augment=bool(cfg["augment"]),
-        standardize=bool(cfg["standardize"]),
-        input_side=int(cfg["input_side"]) or None,
-    )
+    try:
+        return TrainConfig(
+            lr0=float(cfg["lr0"]),
+            batch=int(cfg["batch"]),
+            epochs=int(cfg["epochs"]),
+            seed=int(cfg["seed"]),
+            augment=bool(cfg["augment"]),
+            standardize=bool(cfg["standardize"]),
+            input_side=int(cfg["input_side"]) or None,
+        )
+    except ValueError as exc:  # the message starts with the key at fault
+        raise ConfigError(f"bad training setting: {exc}") from None
 
 
 def _trigger_config(cfg: Dict[str, object]) -> imu_trigger.TriggerConfig:

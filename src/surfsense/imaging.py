@@ -2,15 +2,19 @@
 
 Images are float rasters in [0, 1], shape (height, width, channels) with
 1 or 3 channels.  The sharpness gate is the variance of a
-Laplacian-of-Gaussian response; blurrier images score lower.  The
-module keeps no state between calls, so concurrent calls on different
-inputs do not interact; a ``Generator`` passed as a seed is advanced.
+Laplacian-of-Gaussian response; blurrier images score lower.
+Augmentation flips, rotates and shifts each image by four doubles drawn
+from its own seed and fills out-of-frame pixels by reflection; the gate
+and augmentation reflect-pad through one in-place helper.  The module
+keeps no state between calls, so concurrent calls on different inputs
+do not interact; a ``Generator`` passed as a seed is advanced by
+exactly four doubles per image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence, Tuple, Union
+from typing import BinaryIO, Sequence, Union
 
 import numpy as np
 
@@ -72,6 +76,14 @@ class AugmentPolicy:
     max_rotation_deg: float = 15.0
     max_shift_frac: float = 0.10
 
+    def __post_init__(self) -> None:
+        # Each check names its field; a comparison with nan is false.
+        if not 0 <= self.flip_p <= 1:
+            raise ValueError(f"flip_p must be in [0, 1], got {self.flip_p!r}")
+        for name in ("max_rotation_deg", "max_shift_frac"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+
 
 IDENTITY_POLICY = AugmentPolicy(flip_p=0.0, max_rotation_deg=0.0, max_shift_frac=0.0)
 
@@ -103,18 +115,28 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _reflect_pad(plane: np.ndarray, r: int) -> np.ndarray:
-    """``np.pad(plane, r, mode="reflect")``, filled by slicing when ``r`` is under each side."""
-    h, w = plane.shape
-    if r >= h or r >= w:  # reflects more than once
-        return np.pad(plane, r, mode="reflect")
-    out = np.empty((h + 2 * r, w + 2 * r), dtype=plane.dtype)
-    out[r : r + h, r : r + w] = plane
-    for a in (out, out.T):  # rows, then columns of the row-padded array
-        n = a.shape[0] - r
-        a[:r] = a[2 * r : r : -1]
-        a[n:] = a[n - 2 : n - r - 2 : -1]
-    return out
+def _reflect_pad(buf: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Fill in place, and return, the reflected border of the last two axes of
+    ``buf``: ``before`` cells ahead of and ``after`` cells behind an interior that is
+    already written, the values ``np.pad(interior, (before, after), mode="reflect")``
+    gives on those axes.  The columns of the interior rows come first, then whole
+    rows.  A pad that reaches a side reflects more than once and goes through
+    ``np.pad``."""
+    h = buf.shape[-2] - before - after
+    w = buf.shape[-1] - before - after
+    if max(before, after) >= min(h, w):
+        inner = buf[..., before : before + h, before : before + w]
+        pad = [(0, 0)] * (buf.ndim - 2) + [(before, after)] * 2
+        buf[...] = np.pad(inner, pad, mode="reflect")
+        return buf
+    # Each pass reflects axis -2 of ``a``; the mirrored cells are sliced
+    # forward and then reversed, as ``[n - 2 : n - 2 - after : -1]`` would
+    # end at -1, and come out empty, for before == 0 and after == side - 1.
+    for a in (buf[..., before : before + h, :].swapaxes(-1, -2), buf):
+        n = a.shape[-2] - after
+        a[..., :before, :] = a[..., before + 1 : 2 * before + 1, :][..., ::-1, :]
+        a[..., n:, :] = a[..., n - after - 1 : n - 1, :][..., ::-1, :]
+    return buf
 
 
 def gaussian_blur_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
@@ -126,7 +148,9 @@ def gaussian_blur_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
     r = len(k) // 2
     h, w = plane.shape
     wp = w + 2 * r
-    out = _reflect_pad(plane, r).reshape(-1)
+    out = np.empty((h + 2 * r, wp), dtype=plane.dtype)
+    out[r : r + h, r : r + w] = plane
+    out = _reflect_pad(out, r, r).reshape(-1)
     tmp = np.empty(h * wp, dtype=np.result_type(k, plane))
     for step, n in ((wp, h * wp), (1, h * wp - 2 * r)):  # vertical, then horizontal
         src, out = out, np.zeros(h * wp, dtype=plane.dtype)
@@ -142,7 +166,9 @@ def laplacian_plane(plane: np.ndarray) -> np.ndarray:
     The result is C-ordered: ``np.var`` sums a strided view in another order."""
     h, w = plane.shape
     n, wp = h * (w + 2), w + 2
-    flat = _reflect_pad(plane, 1).reshape(-1)
+    flat = np.empty((h + 2, wp), dtype=plane.dtype)
+    flat[1:-1, 1:-1] = plane
+    flat = _reflect_pad(flat, 1, 1).reshape(-1)
     centre = flat[wp : wp + n]  # rows 1..h, padding columns included
     out = flat[:n] + flat[2 * wp :]
     out += flat[wp - 1 : wp - 1 + n]
@@ -231,24 +257,6 @@ def _as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _draw_augment_params(
-    rng_seeds: Sequence[SeedLike], policy: AugmentPolicy, side: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = len(rng_seeds)
-    flips = np.zeros(n, dtype=bool)
-    angles = np.zeros(n)
-    dys = np.zeros(n)
-    dxs = np.zeros(n)
-    shift_px = policy.max_shift_frac * side
-    for i, seed in enumerate(rng_seeds):
-        rng = _as_generator(seed)
-        flips[i] = rng.random() < policy.flip_p
-        angles[i] = np.deg2rad(rng.uniform(-policy.max_rotation_deg, policy.max_rotation_deg))
-        dys[i] = rng.uniform(-shift_px, shift_px)
-        dxs[i] = rng.uniform(-shift_px, shift_px)
-    return flips, angles, dys, dxs
-
-
 def augment_batch(
     images: Sequence[Image],
     rng_seeds: Sequence[SeedLike],
@@ -258,21 +266,36 @@ def augment_batch(
 
     Returns an (N, H, W, C) array (dtype follows the inputs) identical
     to calling :func:`augment` per image with the matching seed; the
-    loop over images is fused so training batches stay cheap.  The
-    array is a view of a channel-planar (C, N, H, W) buffer.
+    loop over images is fused so training batches stay cheap.  Each
+    seed gives four doubles: the flip, the angle and the two shifts.
+    The images are copied into channel planes of (N, S, S) and
+    reflect-padded once for the whole batch, so the four corners of a
+    bilinear sample are one flat index ``base`` into four offset views
+    of its plane: ``plane``, ``plane[1:]``, ``plane[S:]`` and
+    ``plane[S + 1:]``.  The array is a view of a channel-planar
+    (C, N, H, W) buffer.
     """
     if len(rng_seeds) != len(images):
         raise ValueError(f"{len(images)} images but {len(rng_seeds)} augmentation seeds")
     if not images:
         return np.zeros((0, 0, 0, 0), dtype=np.float32)
-    side = images[0].width
+    side, ch = images[0].width, images[0].channels
     for img in images:
         if img.height != side or img.width != side:
             raise ValueError("augment_batch expects uniform square images")
-    stacked = np.stack([img.pixels for img in images])
-    n, ch, dtype = len(images), stacked.shape[3], stacked.dtype
+        if img.channels != ch:
+            raise ValueError("augment_batch expects one channel count")
+    n = len(images)
+    dtype = np.result_type(*{img.pixels.dtype for img in images})
 
-    flips, angles, dys, dxs = _draw_augment_params(rng_seeds, policy, side)
+    u = np.empty((4, n))
+    for i, seed in enumerate(rng_seeds):
+        u[:, i] = _as_generator(seed).random(4)
+    # ``Generator.uniform(low, high)`` is low + (high - low) * random().
+    flips = u[0] < policy.flip_p
+    rot, shift = policy.max_rotation_deg, policy.max_shift_frac * side
+    angles = np.deg2rad(-rot + (rot - -rot) * u[1])
+    dys, dxs = -shift + (shift - -shift) * u[2:]
     noop = ~flips & (angles == 0.0) & (dys == 0.0) & (dxs == 0.0)
 
     # Output pixel (y, x) pulls from flip -> rotate -> shift applied to
@@ -285,39 +308,42 @@ def augment_batch(
     xr = grid - dxs[:, None]
     cos_a = np.cos(angles)[:, None]
     sin_a = np.sin(angles)[:, None]
-    ysrc = (cos_a * yr)[:, :, None] + (sin_a * xr)[:, None, :]
-    ysrc += c
-    xsrc = (-sin_a * yr)[:, :, None] + (cos_a * xr)[:, None, :]
-    xsrc += c
-    np.subtract(side - 1, xsrc, out=xsrc, where=flips[:, None, None])
-    y0 = np.floor(ysrc)
-    x0 = np.floor(xsrc)
-    fy = np.subtract(ysrc, y0, out=ysrc).astype(dtype, copy=False).reshape(-1)
-    fx = np.subtract(xsrc, x0, out=xsrc).astype(dtype, copy=False).reshape(-1)
+    src = np.empty((2, n, side, side))
+    np.add((cos_a * yr)[:, :, None], (sin_a * xr)[:, None, :], out=src[0])
+    np.add((-sin_a * yr)[:, :, None], (cos_a * xr)[:, None, :], out=src[1])
+    src += c
+    np.subtract(side - 1, src[1], out=src[1], where=flips[:, None, None])
+    lo = np.floor(src)
+    fy, fx = np.subtract(src, lo, out=np.empty(src.shape, dtype), casting="same_kind").reshape(2, -1)
 
-    # Reflect-pad the batch once into channel planes of (N, S, S), wide
-    # enough for every sample, so a sample's four corners are base,
-    # base + 1, base + S and base + S + 1 of one flat index.
-    before = max(0, -int(min(y0.min(), x0.min())))
-    after = max(0, int(max(y0.max(), x0.max())) + 2 - side)
+    # Reflect-pad the batch once, wide enough for every sample.  Each
+    # coordinate is a rounded sum of a row term and a column term, each
+    # monotonic along its axis, so its extremes lie at the grid's corners.
+    corners = lo[:, :, :: side - 1 or 1, :: side - 1 or 1]
+    before = max(0, -int(corners.min()))
+    after = max(0, int(corners.max()) + 2 - side)
     s = side + before + after
-    pad = ((0, 0), (0, 0), (before, after), (before, after))
-    planes = np.pad(stacked.transpose(3, 0, 1, 2), pad, mode="reflect").reshape(ch, -1)
+    planes = np.empty((ch, n, s, s), dtype=dtype)
+    inner = planes[:, :, before : before + side, before : before + side]
+    for i, img in enumerate(images):
+        inner[:, i] = img.pixels.transpose(2, 0, 1)
+    planes = _reflect_pad(planes, before, after).reshape(ch, -1)
+    y0, x0 = lo
     y0 *= s
     y0 += x0
     y0 += (np.arange(n) * (s * s) + before * (s + 1))[:, None, None]
     base = y0.astype(np.intp).reshape(-1)
-    right, down, diag = base + 1, base + s, base + (s + 1)
 
-    # Every index is in range, so mode="clip" changes nothing but lets
-    # take write straight into ``out``.
+    # The corners are ``base`` of four offset views of each plane; every
+    # index is in range, so mode="clip" changes nothing but lets take
+    # write straight into its output.
     out = np.empty((ch, base.size), dtype=dtype)
     g00, g01, g10 = (np.empty(base.size, dtype=dtype) for _ in range(3))
     for plane, g11 in zip(planes, out):
         plane.take(base, out=g00, mode="clip")
-        plane.take(right, out=g01, mode="clip")
-        plane.take(down, out=g10, mode="clip")
-        plane.take(diag, out=g11, mode="clip")
+        plane[1:].take(base, out=g01, mode="clip")
+        plane[s:].take(base, out=g10, mode="clip")
+        plane[s + 1 :].take(base, out=g11, mode="clip")
         g01 -= g00
         g01 *= fx
         g01 += g00  # top row blend

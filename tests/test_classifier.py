@@ -691,6 +691,104 @@ def test_checkpoint_cut_anywhere_names_file_and_field(tmp_path):
     assert np.array_equal(back.tensors["stem_w"], p.tensors["stem_w"])
 
 
+# --- optimizer ---
+
+
+class AdamReference:
+    """Per-tensor Adam: one moment pair per gradient key, updated tensor by tensor."""
+
+    def __init__(self, params, cfg):
+        self.cfg = cfg
+        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        cfg = self.cfg
+        self.t += 1
+        bc1 = 1.0 - cfg.beta1**self.t
+        bc2 = 1.0 - cfg.beta2**self.t
+        for k, g in grads.items():
+            m = self.m[k]
+            v = self.v[k]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            params.tensors[k] -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+
+def _model(kind, dtype):
+    p = init_params(seed=3, dtype=dtype)
+    if kind == "standardize":
+        p.tensors["norm_mean"] = np.array([0.4, 0.5, 0.6], dtype=dtype)
+        p.tensors["norm_std"] = np.array([0.2, 0.3, 0.25], dtype=dtype)
+    elif kind == "grown":
+        p = grow_heads(p, [7], [10, 11], seed=5)
+    return p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["plain", "standardize", "grown"])
+def test_flat_adam_matches_per_tensor_reference_bit_for_bit(kind, dtype):
+    flat, ref = _model(kind, dtype), _model(kind, dtype)
+    frozen = {k: v.copy() for k, v in flat.tensors.items() if k.startswith("norm_")}
+    cfg = TrainConfig(lr0=3e-3)
+    opt, opt_ref = C.Adam(flat, cfg), AdamReference(ref, cfg)
+    rng = np.random.default_rng(9)
+    for step in range(24):
+        x = rng.uniform(0.0, 1.0, (4, 3, 16, 16)).astype(dtype)
+        y_obj = rng.choice(flat.object_classes, 4)
+        y_mat = rng.choice(flat.material_classes, 4)
+        _, grads = loss_and_grad(flat, (x, y_obj, y_mat))
+        lr = cfg.lr0 * 0.9**step
+        opt.step(flat, grads, lr)
+        opt_ref.step(ref, grads, lr)
+        for k, v in flat.tensors.items():
+            assert v.dtype == ref.tensors[k].dtype
+            assert np.array_equal(v, ref.tensors[k]), (step, k)
+    assert frozen.keys() == ({"norm_mean", "norm_std"} if kind == "standardize" else set())
+    for k, v in frozen.items():
+        assert np.array_equal(flat.tensors[k], v)
+
+
+def test_adam_rejects_gradients_with_other_keys():
+    p = init_params(seed=0)
+    opt = C.Adam(p, TrainConfig())
+    grads = {k: np.zeros_like(v) for k, v in p.tensors.items()}
+    opt.step(p, grads, 1e-3)
+    del grads["stem_b"]
+    with pytest.raises(ValueError, match="gradient keys"):
+        opt.step(p, grads, 1e-3)
+
+
+# --- training settings ---
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lr0", float("nan")),
+        ("lr0", float("inf")),
+        ("lr0", -1e-3),
+        ("batch", 0),
+        ("epochs", 0),
+        ("beta1", 1.0),
+        ("beta1", -0.1),
+        ("beta1", float("nan")),
+        ("beta2", 1.0),
+        ("beta2", float("nan")),
+        ("eps", 0.0),
+        ("eps", float("inf")),
+        ("eps", float("nan")),
+        ("input_side", 0),
+    ],
+)
+def test_train_config_names_the_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
 def test_standardize_option_trains_and_roundtrips(tmp_path):
     recs = separable_records(n_per_class=6)
     cfg = TrainConfig(lr0=2e-3, batch=8, epochs=2, seed=0, augment=False, standardize=True)

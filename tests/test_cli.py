@@ -314,6 +314,22 @@ def test_validate_with_override_file(tmp_path):
     assert run(["validate", "bed", "ceramic", "--mapping-file", table]) == 0
 
 
+def test_bad_training_settings_are_config_errors(tmp_path, capsys):
+    gen_out = tmp_path / "gen"
+    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=1, persons=1, side=16, seed=1)
+    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
+    manifest = gen_out / "corpus" / "manifest.txt"
+    capsys.readouterr()
+    for key, value in (("lr0", "nan"), ("lr0", "inf"), ("batch", 0), ("epochs", 0)):
+        out = tmp_path / f"{key}_{value}"
+        cfg = write_config(
+            tmp_path / "t.txt", out_dir=out, corpus_manifest=manifest, **{"epochs": 1, key: value}
+        )
+        assert run(["train", cfg]) == 2, (key, value)
+        assert f"error: config: bad training setting: {key} must be" in capsys.readouterr().err
+        assert not (out / "checkpoint.bin").exists()
+
+
 def test_failure_removes_partial_outputs(tmp_path):
     out = tmp_path / "run"
     cfg = write_config(

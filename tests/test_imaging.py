@@ -382,6 +382,24 @@ def _warp_bilinear_reflect_reference(flat, n, side, ch, ysrc, xsrc):
     return g11.reshape(n, side, side, ch)
 
 
+def _draw_augment_params(rng_seeds, policy, side):
+    """Each image's flip, angle (radians) and shifts, drawn by scalar
+    ``Generator`` calls in that order."""
+    n = len(rng_seeds)
+    flips = np.zeros(n, dtype=bool)
+    angles = np.zeros(n)
+    dys = np.zeros(n)
+    dxs = np.zeros(n)
+    shift_px = policy.max_shift_frac * side
+    for i, seed in enumerate(rng_seeds):
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        flips[i] = rng.random() < policy.flip_p
+        angles[i] = np.deg2rad(rng.uniform(-policy.max_rotation_deg, policy.max_rotation_deg))
+        dys[i] = rng.uniform(-shift_px, shift_px)
+        dxs[i] = rng.uniform(-shift_px, shift_px)
+    return flips, angles, dys, dxs
+
+
 def augment_batch_reference(images, rng_seeds, policy=AugmentPolicy()):
     """``augment_batch`` with a reflected index per corner and pixel: a
     full-size coordinate grid, four mod/min reflection passes and four
@@ -390,7 +408,7 @@ def augment_batch_reference(images, rng_seeds, policy=AugmentPolicy()):
     side = images[0].width
     ch = images[0].channels
     n = len(images)
-    flips, angles, dys, dxs = imaging._draw_augment_params(rng_seeds, policy, side)
+    flips, angles, dys, dxs = _draw_augment_params(rng_seeds, policy, side)
     noop = ~flips & (angles == 0.0) & (dys == 0.0) & (dxs == 0.0)
 
     c = (side - 1) / 2.0
@@ -467,6 +485,59 @@ def test_augment_batch_matches_reference_property(
     _assert_matches_reference(
         images, seeds, AugmentPolicy(flip_p, max_rotation_deg, max_shift_frac)
     )
+
+
+def test_augment_advances_a_generator_by_four_doubles():
+    img = random_texture(5, side=16)
+    for policy in (AugmentPolicy(), IDENTITY_POLICY):
+        g, twin = np.random.default_rng(12), np.random.default_rng(12)
+        augment(img, g, policy)
+        twin.random(4)
+        assert g.bit_generator.state == twin.bit_generator.state
+        assert g.random() == twin.random()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("flip_p", -0.1),
+        ("flip_p", 1.5),
+        ("flip_p", float("nan")),
+        ("max_rotation_deg", float("nan")),
+        ("max_rotation_deg", float("inf")),
+        ("max_rotation_deg", -1.0),
+        ("max_shift_frac", float("nan")),
+        ("max_shift_frac", float("inf")),
+        ("max_shift_frac", -0.1),
+    ],
+)
+def test_augment_policy_names_the_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        AugmentPolicy(**{field: value})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead=st.sampled_from([(), (2,), (3, 2)]),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    before=st.integers(0, 30),
+    after=st.integers(0, 30),
+)
+def test_reflect_pad_matches_np_pad(lead, h, w, before, after):
+    inner = np.random.default_rng(h * 13 + w).uniform(size=lead + (h, w))
+    buf = np.full(lead + (h + before + after, w + before + after), np.nan)
+    buf[..., before : before + h, before : before + w] = inner
+    pad = [(0, 0)] * len(lead) + [(before, after)] * 2
+    assert np.array_equal(imaging._reflect_pad(buf, before, after), np.pad(inner, pad, mode="reflect"))
+
+
+def test_reflect_pad_after_reaching_the_last_interior_row():
+    # before == 0, after == side - 1: the mirrored rows end at index 0.
+    inner = np.arange(12.0).reshape(3, 4)[:, :3]
+    buf = np.zeros((5, 5))
+    buf[:3, :3] = inner
+    assert np.array_equal(imaging._reflect_pad(buf, 0, 2), np.pad(inner, (0, 2), mode="reflect"))
 
 
 def test_augment_returns_a_contiguous_image():
