@@ -280,7 +280,7 @@ def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     tap is one multiply-add over the grid at the tap's offset; every cell
     sums its taps in order k = 0..8 from zero and adds the bias last.  A
     tap works on whole rows: the last ``off`` cells of a channel's row read
-    on into the next row, and they are edge cells, which no output keeps."""
+    on past its plane, and they are edge cells, which no output keeps."""
     n, c, h, wd = x.shape
     ho, wo = _out_hw(h, wd)
     flat = _parity_planes(_swap(x))
@@ -325,9 +325,10 @@ def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray,
         dw[:, ki, kj] = np.einsum("cg,cg->c", grid[:, : size - off], planes[p, :, off:])
         # The tap adds into the gradient of the plane it read, at the same
         # offset, so every cell takes its taps in order k = 0..8 from zero.
-        # On whole rows, a row's first ``off`` cells take the previous
-        # row's last grid cells, edge zeros: adding a zero leaves a sum
-        # that started at +0.0 as it is.
+        # On whole rows, a channel's first ``off`` cells take the zero
+        # cells before its grid row (the previous channel's edge or the
+        # leading zeros), and adding a zero leaves a sum that started at
+        # +0.0 as it is.
         np.multiply(w[:, ki, kj, None], _rows(gflat, lead - off, c, size), out=tap)
         dplanes[p] += tap
     # Each input pixel is one cell of one plane (``_parity_planes``).
