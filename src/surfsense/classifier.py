@@ -269,10 +269,6 @@ def _tap_offset(ki: int, kj: int, wo: int) -> Tuple[int, int]:
     return 2 * (ki % 2) + kj % 2, (ki // 2) * (wo + 1) + kj // 2
 
 
-def _rows(flat: np.ndarray, start: int, c: int, size: int) -> np.ndarray:
-    return flat[start : start + c * size].reshape(c, size)
-
-
 def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Depthwise 3x3/stride-2 conv of an (N, C, H, W) view of a channel-major
     buffer; returns the output view and the input's parity planes.  Output
@@ -290,7 +286,8 @@ def depthwise3x3s2_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     for k in range(9):
         ki, kj = divmod(k, 3)
         p, off = _tap_offset(ki, kj, wo)
-        np.multiply(w[:, ki, kj, None], _rows(flat, p * c * size + off, c, size), out=tap)
+        rows = flat[p * c * size + off :][: c * size].reshape(c, size)
+        np.multiply(w[:, ki, kj, None], rows, out=tap)
         acc += tap
     out = np.empty((c, n, ho, wo), dtype=x.dtype)
     # last: a bias-first sum rounds differently
@@ -329,7 +326,8 @@ def depthwise3x3s2_backward(dout: np.ndarray, planes: np.ndarray, w: np.ndarray,
         # cells before its grid row (the previous channel's edge or the
         # leading zeros), and adding a zero leaves a sum that started at
         # +0.0 as it is.
-        np.multiply(w[:, ki, kj, None], _rows(gflat, lead - off, c, size), out=tap)
+        rows = gflat[lead - off :][: c * size].reshape(c, size)
+        np.multiply(w[:, ki, kj, None], rows, out=tap)
         dplanes[p] += tap
     # Each input pixel is one cell of one plane (``_parity_planes``).
     dx = np.empty((c, n, h, wd), dtype=dc.dtype)
