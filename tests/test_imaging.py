@@ -494,7 +494,6 @@ def test_augment_advances_a_generator_by_four_doubles():
         augment(img, g, policy)
         twin.random(4)
         assert g.bit_generator.state == twin.bit_generator.state
-        assert g.random() == twin.random()
 
 
 @pytest.mark.parametrize(
