@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .imaging import AugmentPolicy, Image, augment, augment_batch, center_crop_resize
+from .imaging import AugmentPolicy, Image, augment_batch
 
 STEM_FILTERS = 8
 BLOCK_WIDTHS = (16, 32, 64)
@@ -86,7 +86,6 @@ class TrainConfig:
     seed: int = 0
     augment: bool = True
     policy: AugmentPolicy = AugmentPolicy()
-    input_side: Optional[int] = None
     standardize: bool = False
 
     def __post_init__(self) -> None:
@@ -101,8 +100,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
-        if self.input_side is not None and not self.input_side >= 1:
-            raise ValueError(f"input_side must be None or >= 1, got {self.input_side!r}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +118,29 @@ class PredictionPair:
     @property
     def top1_material(self) -> int:
         return self.material_classes[int(np.argmax(self.p_material))]
+
+
+@dataclass(frozen=True)
+class HeadBias:
+    scale: float = 1.0
+    offset: float = 0.0
+    new_units: Tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class BiasParams:
+    object_head: HeadBias = HeadBias()
+    material_head: HeadBias = HeadBias()
+
+
+def apply_bias(logits: np.ndarray, head: HeadBias) -> np.ndarray:
+    """Affine-correct the new-class logits only; with none, ``logits`` come back uncopied."""
+    if not head.new_units:
+        return logits
+    out = logits.copy()
+    units = list(head.new_units)
+    out[..., units] = head.scale * logits[..., units] + head.offset
+    return out
 
 
 def _he_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int, dtype) -> np.ndarray:
@@ -427,15 +447,18 @@ def head_logits_batch(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, n
     return _head_logits(params, feat)
 
 
-def image_to_input(img: Image) -> np.ndarray:
-    if img.channels != 3:
-        raise ValueError("classifier input must be 3-channel")
-    return img.pixels.transpose(2, 0, 1)[None, :, :, :]
+def input_batch(images: Sequence[Image], seeds=None, policy=AugmentPolicy()) -> np.ndarray:
+    """The (N, C, H, W) model input of ``images``: with one seed per image,
+    :func:`~surfsense.imaging.augment_batch` under ``policy``; without
+    seeds, the images stacked as they are."""
+    if seeds is not None:
+        return augment_batch(images, seeds, policy).transpose(0, 3, 1, 2)
+    return np.stack([img.pixels.transpose(2, 0, 1) for img in images])
 
 
 def forward(params: ModelParams, img: Image) -> PredictionPair:
-    """Single-image inference; deterministic, simplex outputs."""
-    logits_o, logits_m = head_logits_batch(params, image_to_input(img))
+    """Single-image inference on a view of the pixels; deterministic, simplex outputs."""
+    logits_o, logits_m = head_logits_batch(params, img.pixels.transpose(2, 0, 1)[None])
     return PredictionPair(
         p_object=softmax(logits_o)[0],
         p_material=softmax(logits_m)[0],
@@ -451,7 +474,7 @@ def predict_logits(params: ModelParams, records: Sequence) -> Tuple[np.ndarray, 
     logits_m = np.empty((len(records), len(params.material_classes)), dtype=params.dtype)
     for start in range(0, len(records), PREDICT_CHUNK):
         chunk = records[start : start + PREDICT_CHUNK]
-        x = np.stack([r.image.pixels.transpose(2, 0, 1) for r in chunk])
+        x = input_batch([r.image for r in chunk])
         rows = slice(start, start + len(chunk))
         logits_o[rows], logits_m[rows] = head_logits_batch(params, x)
     return logits_o, logits_m
@@ -606,39 +629,19 @@ class TrainResult:
     epoch_losses: List[float] = field(default_factory=list)
 
 
-def _prepare_image(img: Image, cfg: TrainConfig, aug_seed) -> np.ndarray:
-    if cfg.augment:
-        img = augment(img, aug_seed, cfg.policy)
-    if cfg.input_side is not None and (
-        img.width != cfg.input_side or img.height != cfg.input_side
-    ):
-        img = center_crop_resize(img, cfg.input_side)
-    return img.pixels.transpose(2, 0, 1)
-
-
 def batch_tensors(
     records: Sequence, cfg: TrainConfig, seed_key: Tuple[int, ...]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack records into (x, y_object, y_material); augmentation seeds
-    derive from ``seed_key`` plus the record's position."""
+    """A step's (x, y_object, y_material) by :func:`input_batch`: with
+    ``cfg.augment``, same-sized square records augmented under ``cfg.policy``
+    with seed ``seed_key`` plus their position; otherwise stacked."""
+    seeds = None
+    if cfg.augment:
+        seeds = [np.random.SeedSequence(seed_key + (pos,)) for pos in range(len(records))]
+    x = input_batch([r.image for r in records], seeds, cfg.policy)
     y_obj = np.array([r.object for r in records], dtype=int)
     y_mat = np.array([r.material for r in records], dtype=int)
-
-    sides = {(r.image.height, r.image.width) for r in records}
-    uniform_square = len(sides) == 1 and next(iter(sides))[0] == next(iter(sides))[1]
-    needs_resize = cfg.input_side is not None and (
-        not uniform_square or next(iter(sides))[0] != cfg.input_side
-    )
-    if cfg.augment and uniform_square and not needs_resize:
-        seeds = [np.random.SeedSequence(seed_key + (pos,)) for pos in range(len(records))]
-        stacked = augment_batch([r.image for r in records], seeds, cfg.policy)
-        return stacked.transpose(0, 3, 1, 2), y_obj, y_mat
-
-    xs = []
-    for pos, rec in enumerate(records):
-        aug_seed = np.random.SeedSequence(seed_key + (pos,))
-        xs.append(_prepare_image(rec.image, cfg, aug_seed))
-    return np.stack(xs), y_obj, y_mat
+    return x, y_obj, y_mat
 
 
 def train(
@@ -705,11 +708,17 @@ def train(
     return result
 
 
-def predict_records(params: ModelParams, records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+def predict_records(
+    params: ModelParams, records: Sequence, bias: BiasParams = BiasParams()
+) -> Tuple[np.ndarray, np.ndarray]:
     """Top-1 taxonomy indices for both heads over a record list: the
-    argmax of each head's logits from :func:`predict_logits`."""
+    argmax of each head's logits from :func:`predict_logits` after
+    :func:`apply_bias`."""
     logits_o, logits_m = predict_logits(params, records)
-    return top1(params.object_classes, logits_o), top1(params.material_classes, logits_m)
+    return (
+        top1(params.object_classes, apply_bias(logits_o, bias.object_head)),
+        top1(params.material_classes, apply_bias(logits_m, bias.material_head)),
+    )
 
 
 # --- head growth for deployment-time classes --------------------------------

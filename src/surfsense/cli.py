@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import classifier, corpus as corpus_mod, harness, imu_trigger, replay, semantics, synth
 from .classifier import TrainConfig
-from .imaging import SIGMA_RULE, load_image, log_sharpness, sigma_ok
+from .imaging import SIGMA_RULE, center_crop_resize, load_image, log_sharpness, sigma_ok
 from .replay import CLConfig, CLTricks, ReplayBuffer, Task
 
 USAGE_ERROR = 2
@@ -92,7 +92,8 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "epochs": (int, 20),
     "augment": (_parse_bool, True),
     "standardize": (_parse_bool, False),
-    "input_side": (int, 0),  # 0 = native
+    # records are center-crop-resized to input_side once, as they load; 0 = native
+    "input_side": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0),
     "checkpoint": (str, ""),
     # evaluation
     "split_kind": (str, "time_kfold"),
@@ -179,7 +180,6 @@ def _train_config(cfg: Dict[str, object]) -> TrainConfig:
             seed=int(cfg["seed"]),
             augment=bool(cfg["augment"]),
             standardize=bool(cfg["standardize"]),
-            input_side=int(cfg["input_side"]) or None,
         )
     except ValueError as exc:  # the message starts with the key at fault
         raise ConfigError(f"bad training setting: {exc}") from None
@@ -210,13 +210,17 @@ def _cl_config(cfg: Dict[str, object]) -> CLConfig:
         if unknown:
             raise ConfigError(f"unknown tricks: {sorted(unknown)}")
         tricks = CLTricks(**{n: True for n in chosen})
-    return CLConfig(
-        train=_train_config(cfg),
-        tricks=tricks,
-        gamma=float(cfg["gamma"]),
-        replay_batch=int(cfg["replay_batch"]),
-        bias_fit_fraction=float(cfg["bias_fit_fraction"]),
-    )
+    train = _train_config(cfg)
+    try:
+        return CLConfig(
+            train=train,
+            tricks=tricks,
+            gamma=float(cfg["gamma"]),
+            replay_batch=int(cfg["replay_batch"]),
+            bias_fit_fraction=float(cfg["bias_fit_fraction"]),
+        )
+    except ValueError as exc:  # the message starts with the key at fault
+        raise ConfigError(f"bad replay setting: {exc}") from None
 
 
 def _parse_absences(raw: str) -> frozenset:
@@ -320,9 +324,18 @@ def cmd_gen_corpus(cfg: Dict[str, object], out: OutputDir) -> int:
     return 0
 
 
+def _sized(records, side: int) -> List[corpus_mod.SampleRecord]:
+    """``records`` center-crop-resized to ``side`` (0 keeps them native)."""
+    if not side:
+        return list(records)
+    return [replace(r, image=center_crop_resize(r.image, side)) for r in records]
+
+
 def _load_corpus(cfg: Dict[str, object]) -> corpus_mod.Corpus:
     manifest = _input_file(_require(cfg, "corpus_manifest"))
-    return corpus_mod.read_manifest(manifest, manifest.parent)
+    data = corpus_mod.read_manifest(manifest, manifest.parent)
+    data.records = _sized(data.records, int(cfg["input_side"]))
+    return data
 
 
 def cmd_train(cfg: Dict[str, object], out: OutputDir) -> int:
@@ -375,11 +388,12 @@ def cmd_evaluate(cfg: Dict[str, object], out: OutputDir) -> int:
     return 0
 
 
-def _read_task_stream(path: Path) -> List[Task]:
+def _read_task_stream(path: Path, side: int) -> List[Task]:
     """One ``task_id train_manifest eval_manifest`` line per task, manifest
-    paths relative to the stream file.  An error in the stream's own fields
-    (field count, task id, a manifest that is not a file) names ``path:line``;
-    errors inside a manifest are the manifest reader's own."""
+    paths relative to the stream file, records resized to ``side``.  An error
+    in the stream's own fields (field count, task id, a manifest that is not a
+    file) names ``path:line``; errors inside a manifest are the manifest
+    reader's own."""
     tasks = []
     base = path.parent
     with open(path, "r", encoding="utf-8") as fp:
@@ -404,23 +418,28 @@ def _read_task_stream(path: Path) -> List[Task]:
             for manifest in manifests:
                 if not manifest.is_file():
                     raise ConfigError(f"{where}: cannot read {manifest}: not a file")
-            tasks.append(Task(task_id, *(_stream_records(m) for m in manifests)))
+            tasks.append(Task(task_id, *(_stream_records(m, side) for m in manifests)))
     return tasks
 
 
-def _stream_records(manifest: Path) -> Tuple[corpus_mod.SampleRecord, ...]:
+def _stream_records(manifest: Path, side: int) -> Tuple[corpus_mod.SampleRecord, ...]:
     """A manifest's records over the base taxonomy grown with the novel classes."""
     mapping = synth.extended_mapping()
-    return tuple(corpus_mod.read_manifest(manifest, manifest.parent, mapping=mapping).records)
+    records = corpus_mod.read_manifest(manifest, manifest.parent, mapping=mapping).records
+    return tuple(_sized(records, side))
 
 
 def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
     params = classifier.load_checkpoint(_input_file(_require(cfg, "checkpoint")))
-    tasks = _read_task_stream(_input_file(_require(cfg, "task_stream")))
+    side = int(cfg["input_side"])
+    tasks = _read_task_stream(_input_file(_require(cfg, "task_stream")), side)
     clcfg = _cl_config(cfg)
-    buf = ReplayBuffer(capacity=int(cfg["buffer_capacity"]), sampling_mode=clcfg.buffer_mode())
+    try:
+        buf = ReplayBuffer(capacity=int(cfg["buffer_capacity"]), sampling_mode=clcfg.buffer_mode())
+    except ValueError as exc:
+        raise ConfigError(f"bad replay setting: {exc}") from None
     if cfg["buffer_seed_manifest"]:  # seed the buffer as harness.cl_evaluation does
-        seed_records = _stream_records(_input_file(cfg["buffer_seed_manifest"]))
+        seed_records = _stream_records(_input_file(cfg["buffer_seed_manifest"]), side)
         rng = np.random.default_rng(np.random.SeedSequence((int(cfg["seed"]), 81)))
         replay.fill_from_records(buf, seed_records, rng, params)
     result = replay.cl_run(params, tasks, clcfg, buf)

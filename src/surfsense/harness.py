@@ -1,5 +1,5 @@
 """Evaluation harness: accuracy, confusion matrices, cross-validation
-protocols, continual-learning experiments, and latency probes.
+protocols, hardened-set construction, and continual-learning experiments.
 
 Confusion matrices follow the ground-truth-in-columns convention: entry
 (r, c) counts samples of true class c predicted as class r, and the
@@ -10,13 +10,12 @@ does not enter that class's average.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import classifier, imu_trigger, replay
+from . import classifier, replay
 from .classifier import ModelParams, TrainConfig
 from .corpus import Corpus, SampleRecord, SplitPlan
 from .imaging import (
@@ -24,7 +23,6 @@ from .imaging import (
     add_gaussian_noise,
     adjust_brightness,
     gaussian_blur,
-    log_sharpness,
 )
 from .replay import CLConfig, ReplayBuffer, Task
 
@@ -472,59 +470,6 @@ def forgetting_experiment(
         task_a_joint=acc_joint,
         task_b_er=acc_b_er,
     )
-
-
-# --- latency instrumentation ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LatencyStats:
-    mean_s: float
-    min_s: float
-    max_s: float
-    n_runs: int
-
-
-def latency_probe(stages: Dict[str, Callable[[], object]], n_runs: int) -> Dict[str, LatencyStats]:
-    """Wall-time statistics per stage, each measured in isolation."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    out: Dict[str, LatencyStats] = {}
-    for name, fn in stages.items():
-        times = []
-        for _ in range(n_runs):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        arr = np.array(times)
-        out[name] = LatencyStats(
-            mean_s=float(arr.mean()), min_s=float(arr.min()), max_s=float(arr.max()), n_runs=n_runs
-        )
-    return out
-
-
-def default_stage_set(params: ModelParams, side: int = 224) -> Dict[str, Callable[[], object]]:
-    """The three pipeline stages the latency budget covers."""
-    rng = np.random.default_rng(0)
-    img = Image(rng.uniform(0.0, 1.0, (side, side, 3)).astype(np.float32))
-    cfg = imu_trigger.TriggerConfig()
-    state = imu_trigger.reset()
-    sample = imu_trigger.ImuSample(t=1.0, la=(0.01, 0.01, 0.01), aa=(0.005, 0.0, 0.0))
-
-    def trigger_ingest():
-        imu_trigger.ingest(sample, state, cfg)
-
-    def quality_gate():
-        log_sharpness(img, sigma=1.0)
-
-    def forward_pass():
-        classifier.forward(params, img)
-
-    return {
-        "trigger_ingest": trigger_ingest,
-        "quality_gate": quality_gate,
-        "forward_pass": forward_pass,
-    }
 
 
 # --- report files ---------------------------------------------------------------

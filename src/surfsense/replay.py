@@ -33,9 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import classifier
-from .classifier import ModelParams, TrainConfig
+from .classifier import BiasParams, HeadBias, ModelParams, TrainConfig, apply_bias  # noqa: F401
 from .corpus import SampleRecord
-from .imaging import Image, augment_batch
+from .imaging import Image, augment_batch  # noqa: F401
 
 LOSS_EPS = 1e-3
 SAMPLING_MODES = ("reservoir", "balanced", "loss_aware", "balanced_loss_aware")
@@ -101,10 +101,11 @@ class CLConfig:
     bias_fit_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        if self.replay_batch < 1:
-            raise ValueError("replay_batch must be >= 1")
+        for name in ("gamma", "bias_fit_fraction"):  # a comparison with nan is false
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)!r}")
+        if not self.replay_batch >= 1:
+            raise ValueError(f"replay_batch must be >= 1, got {self.replay_batch!r}")
 
     def buffer_mode(self) -> str:
         if self.tricks.balanced_sampling and self.tricks.loss_aware_sampling:
@@ -224,43 +225,18 @@ def sample_replay_batch(
 def replay_tensors(
     draw: ReplayDraw, cfg: CLConfig
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A draw's (x, y_object, y_material) by :func:`classifier.input_batch`,
+    with its draw seeds when ``cfg.train.augment``; ``None`` if it is empty."""
     if not draw.items:
         return None
-    if cfg.train.augment:
-        x = augment_batch(
-            [it.image for it in draw.items], draw.aug_seeds, cfg.train.policy
-        ).transpose(0, 3, 1, 2)
-    else:
-        x = np.stack([it.image.pixels.transpose(2, 0, 1) for it in draw.items])
+    seeds = draw.aug_seeds if cfg.train.augment else None
+    x = classifier.input_batch([it.image for it in draw.items], seeds, cfg.train.policy)
     y_obj = np.array([it.object for it in draw.items], dtype=int)
     y_mat = np.array([it.material for it in draw.items], dtype=int)
     return x, y_obj, y_mat
 
 
 # --- bias control ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HeadBias:
-    scale: float = 1.0
-    offset: float = 0.0
-    new_units: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class BiasParams:
-    object_head: HeadBias = HeadBias()
-    material_head: HeadBias = HeadBias()
-
-
-def apply_bias(logits: np.ndarray, head: HeadBias) -> np.ndarray:
-    """Affine-correct the new-class logits; old-class logits untouched."""
-    if not head.new_units:
-        return logits
-    out = logits.copy()
-    units = list(head.new_units)
-    out[..., units] = head.scale * logits[..., units] + head.offset
-    return out
 
 
 def fit_affine_on_logits(
@@ -367,13 +343,8 @@ def fit_bias_correction(
 def predict_with_bias(
     params: ModelParams, records: Sequence[SampleRecord], bias: BiasParams
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-1 taxonomy indices: the argmax of each head's logits after
-    :func:`apply_bias`."""
-    logits_o, logits_m = classifier.predict_logits(params, records)
-    return (
-        classifier.top1(params.object_classes, apply_bias(logits_o, bias.object_head)),
-        classifier.top1(params.material_classes, apply_bias(logits_m, bias.material_head)),
-    )
+    """Top-1 taxonomy indices under ``bias``: :func:`classifier.predict_records`."""
+    return classifier.predict_records(params, records, bias)
 
 
 def accuracy_pair(

@@ -252,22 +252,6 @@ def validate_and_repair(
     raise RecognitionFailed(p_object, p_material)
 
 
-def validated_predict(
-    params,
-    img,
-    max_retries: int = 1,
-    table: MappingTable = DEFAULT_MAPPING,
-    consistency_floor: float = 0.05,
-) -> ValidatedPrediction:
-    """Run the classifier and enforce mapping consistency on its output."""
-    from . import classifier
-
-    pred = classifier.forward(params, img)
-    return validate_and_repair(
-        pred.p_object, pred.p_material, table, max_retries, consistency_floor
-    )
-
-
 def context_lookup(object_index: int, taxonomy: LabelTaxonomy = DEFAULT_TAXONOMY) -> Tuple[str, ...]:
     """Scene hints for an object class (e.g. counter -> kitchen)."""
     slug = taxonomy.object_slug(object_index)

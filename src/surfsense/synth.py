@@ -17,7 +17,6 @@ lossless.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -89,16 +88,23 @@ class SynthSpec:
     person_jitter: float = 1.0  # scales household-to-household variation
 
 
-@lru_cache(maxsize=128)  # a few kB an entry; a 64- or 224-px corpus fills 12-14
+_SAMPLES: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}  # (side, cells) -> _samples(...)
+
+
 def _samples(side: int, cells: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lattice index, cosine weight and 1 - weight of ``side`` samples over ``cells`` cells."""
-    pos = np.linspace(0.0, cells, side, endpoint=False)
-    i = np.floor(pos).astype(int)
-    f = 0.5 - 0.5 * np.cos(np.pi * (pos - i))
-    out = (i, f, 1 - f)
-    for a in out:
-        a.flags.writeable = False  # cached: no caller may change a later call's grid
-    return out
+    """Lattice index, cosine weight and 1 - weight of ``side`` samples over ``cells`` cells,
+    cached read-only: a few kB an entry, 12-14 for a 64- or 224-px corpus, 128 at most."""
+    if (side, cells) not in _SAMPLES:
+        pos = np.linspace(0.0, cells, side, endpoint=False)
+        i = np.floor(pos).astype(int)
+        f = 0.5 - 0.5 * np.cos(np.pi * (pos - i))
+        out = (i, f, 1 - f)
+        for a in out:
+            a.flags.writeable = False  # cached: no caller may change a later call's grid
+        if len(_SAMPLES) >= 128:  # drop the oldest
+            del _SAMPLES[next(iter(_SAMPLES))]
+        _SAMPLES[(side, cells)] = out
+    return _SAMPLES[(side, cells)]
 
 
 def value_noise(side: int, cells_y: int, cells_x: int, rng: np.random.Generator) -> np.ndarray:

@@ -440,9 +440,13 @@ def test_criterion_09_cli_rerun_byte_identical(tmp_path):
 
 def test_criterion_10_forward_latency_budget():
     params = init_params(seed=0)
-    stages = harness.default_stage_set(params, side=224)
-    stats_ = harness.latency_probe({"forward_pass": stages["forward_pass"]}, n_runs=100)
-    mean_ms = stats_["forward_pass"].mean_s * 1000
+    img = Image(np.random.default_rng(0).uniform(0.0, 1.0, (224, 224, 3)).astype(np.float32))
+    times = []
+    for _ in range(100):
+        t0 = time.perf_counter()
+        classifier.forward(params, img)
+        times.append(time.perf_counter() - t0)
+    mean_ms = float(np.mean(times)) * 1000
     verdict(
         10,
         mean_ms < 100.0,

@@ -543,6 +543,24 @@ def test_predict_records_over_several_chunks_matches_single_image_forward():
     assert empty_o.shape == empty_m.shape == (0,)
 
 
+def test_predict_records_under_a_bias_is_the_argmax_after_apply_bias():
+    p = grow_heads(init_params(seed=3), [7], [10, 11], seed=3)
+    n = C.PREDICT_CHUNK + 9
+    recs = records_from_arrays([rand_image(i, side=8) for i in range(n)], [1] * n, [1] * n)
+    bias = C.BiasParams(
+        object_head=C.HeadBias(scale=1.5, offset=0.5, new_units=(6,)),
+        material_head=C.HeadBias(scale=0.5, offset=0.25, new_units=(9, 10)),
+    )
+    # The reference: replay's former predict_with_bias.
+    logits_o, logits_m = C.predict_logits(p, recs)
+    want_o = C.top1(p.object_classes, C.apply_bias(logits_o, bias.object_head))
+    want_m = C.top1(p.material_classes, C.apply_bias(logits_m, bias.material_head))
+    got_o, got_m = C.predict_records(p, recs, bias)
+    assert np.array_equal(got_o, want_o) and np.array_equal(got_m, want_m)
+    plain_o, plain_m = C.predict_records(p, recs)
+    assert not np.array_equal(plain_o, got_o) and not np.array_equal(plain_m, got_m)
+
+
 def test_zero_learning_rate_leaves_weights_unchanged():
     recs = separable_records(n_per_class=4)
     cfg = TrainConfig(lr0=0.0, batch=4, epochs=2, seed=0)
@@ -781,7 +799,6 @@ def test_adam_rejects_gradients_with_other_keys():
         ("eps", 0.0),
         ("eps", float("inf")),
         ("eps", float("nan")),
-        ("input_side", 0),
     ],
 )
 def test_train_config_names_the_bad_field(field, value):

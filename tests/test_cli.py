@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,90 @@ def test_cl_run_seeds_its_buffer_from_a_manifest(tmp_path, capsys):
     # task 1 replays the seeded items, so it trains on other batches
     assert seeded["checkpoint.bin"] != plain["checkpoint.bin"]
     assert cl_run("seeded_again", buffer_seed_manifest=manifest)[1] == seeded
+    # input_side resizes the seeded and the task records alike, so the
+    # replayed and the new half of each step have one side
+    resized_out, _ = cl_run("resized", buffer_seed_manifest=manifest, input_side=8)
+    assert "buffer holds 36 items" in resized_out
+
+
+def test_evaluate_trains_and_scores_at_input_side(tmp_path):
+    from surfsense import corpus as corpus_mod, harness
+    from surfsense.classifier import TrainConfig
+    from surfsense.imaging import center_crop_resize
+
+    gen_out = tmp_path / "gen"
+    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=6, persons=2, side=32, seed=3)
+    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
+    manifest = gen_out / "corpus" / "manifest.txt"
+    eval_out = tmp_path / "eval"
+    cfg = write_config(
+        tmp_path / "e.txt", out_dir=eval_out, corpus_manifest=manifest, k=2, epochs=2,
+        lr0=0.01, seed=3, input_side=12,
+    )  # fmt: skip
+    assert run(["evaluate", cfg]) == 0
+
+    # The same records resized in memory (a corpus written at 12 px would
+    # quantize the resized pixels to 8 bits).
+    data = corpus_mod.read_manifest(manifest, manifest.parent)
+    data.records = [
+        replace(r, image=center_crop_resize(r.image, 12)) for r in data.records
+    ]
+    plan = corpus_mod.make_split(data, "time_kfold", 2)
+    want = harness.run_protocol(data, plan, TrainConfig(lr0=0.01, epochs=2, seed=3))
+    rows = [
+        f"{f},{ao:.6f},{am:.6f}"
+        for f, (ao, am) in enumerate(zip(want.fold_acc_object, want.fold_acc_material))
+    ]
+    assert (eval_out / "folds.csv").read_text().splitlines() == ["fold,object,material"] + rows
+
+
+def test_negative_input_side_is_a_usage_error(tmp_path, capsys):
+    gen_out = tmp_path / "gen"
+    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=1, persons=1, side=16, seed=1)
+    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
+    out = tmp_path / "t"
+    cfg = write_config(
+        tmp_path / "t.txt", out_dir=out, corpus_manifest=gen_out / "corpus" / "manifest.txt",
+        epochs=1, input_side=-1,
+    )  # fmt: skip
+    capsys.readouterr()
+    assert run(["train", cfg]) == 2
+    assert "input_side" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("gamma", 2, "gamma must be"),
+        ("replay_batch", 0, "replay_batch must be"),
+        ("buffer_capacity", -1, "capacity must be"),
+        ("bias_fit_fraction", "nan", "bias_fit_fraction must be"),
+        ("bias_fit_fraction", 0, "bias_fit_fraction must be"),
+        ("bias_fit_fraction", 1.5, "bias_fit_fraction must be"),
+    ],
+)
+def test_bad_replay_settings_are_config_errors(tmp_path, capsys, key, value, message):
+    gen_out = tmp_path / "gen"
+    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=1, persons=1, side=16, seed=1)
+    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
+    manifest = gen_out / "corpus" / "manifest.txt"
+    ckpt = tmp_path / "init.bin"
+    from surfsense import classifier
+
+    classifier.save_checkpoint(classifier.init_params(seed=1), ckpt)
+    stream = tmp_path / "stream.txt"
+    rel = manifest.relative_to(tmp_path)
+    stream.write_text(f"1 {rel} {rel}\n")
+    out = tmp_path / "cl"
+    cfg = write_config(
+        tmp_path / "c.txt", out_dir=out, checkpoint=ckpt, task_stream=stream, epochs=1,
+        **{key: value},
+    )  # fmt: skip
+    capsys.readouterr()
+    assert run(["cl-run", cfg]) == 2
+    assert f"error: config: bad replay setting: {message}" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_validate_exit_codes(capsys):
@@ -409,10 +494,10 @@ def test_task_stream_errors_name_path_and_line(tmp_path):
     for body, message in cases:
         stream.write_text(f"# tasks\n1 {good} {good}\n\n" + body)
         with pytest.raises(ConfigError) as exc:
-            _read_task_stream(stream)
+            _read_task_stream(stream, 0)
         assert str(exc.value).startswith(f"{stream}:4: {message}")
     stream.write_text(f"1 {good} {good}\n")
-    assert [t.task_id for t in _read_task_stream(stream)] == [1]
+    assert [t.task_id for t in _read_task_stream(stream, 0)] == [1]
 
 
 def test_cl_run_missing_image_in_manifest_is_runtime_error(tmp_path):

@@ -412,6 +412,15 @@ def test_value_noise_cache_does_not_leak_between_calls():
         synth._samples(40, 5)[1][0] = 0.5
 
 
+def test_value_noise_cache_is_bounded_and_unwrapped():
+    for side in range(2, 202):
+        synth._samples(side, 1)
+    assert len(synth._SAMPLES) == 128
+    assert (201, 1) in synth._SAMPLES and (2, 1) not in synth._SAMPLES
+    # a plain function: nothing for a tracer to mistake for its own wrapper
+    assert not hasattr(synth._samples, "__wrapped__")
+
+
 def _pixel_digest(records):
     h = hashlib.sha256()
     for rec in records:

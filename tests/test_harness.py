@@ -5,9 +5,7 @@ from surfsense.classifier import TrainConfig, forward, init_params
 from surfsense.corpus import make_split
 from surfsense.harness import (
     confusion,
-    default_stage_set,
     harden_records,
-    latency_probe,
     lopo_report,
     run_protocol,
     select_difficult,
@@ -247,29 +245,6 @@ def test_hardened_images_score_lower_on_average():
         [log_sharpness(r.image).log_variance for r in harden_records(corpus.records, 2)]
     )
     assert hard < base
-
-
-# --- latency probe ---
-
-
-def test_latency_single_run_equals_mean():
-    stats = latency_probe({"noop": lambda: None}, n_runs=1)
-    s = stats["noop"]
-    assert s.mean_s == s.min_s == s.max_s
-    assert s.n_runs == 1
-
-
-def test_latency_requires_runs():
-    with pytest.raises(ValueError):
-        latency_probe({"noop": lambda: None}, n_runs=0)
-
-
-def test_default_stage_set_runs():
-    params = init_params(seed=0)
-    stats = latency_probe(default_stage_set(params, side=64), n_runs=2)
-    assert set(stats) == {"trigger_ingest", "quality_gate", "forward_pass"}
-    for s in stats.values():
-        assert s.min_s <= s.mean_s <= s.max_s
 
 
 def test_select_difficult_puts_errors_first_then_low_confidence():

@@ -51,6 +51,29 @@ def test_buffer_rejects_unknown_mode_and_negative_capacity():
         assert ReplayBuffer(capacity=0, sampling_mode=mode).sampling_mode == mode
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gamma", 0.0),
+        ("gamma", 2.0),
+        ("gamma", float("nan")),
+        ("replay_batch", 0),
+        ("bias_fit_fraction", 0.0),
+        ("bias_fit_fraction", -0.5),
+        ("bias_fit_fraction", 1.5),
+        ("bias_fit_fraction", float("inf")),
+        ("bias_fit_fraction", float("nan")),
+    ],
+)
+def test_cl_config_names_the_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CLConfig(**{field: value})
+
+
+def test_cl_config_accepts_a_whole_buffer_bias_fit():
+    assert CLConfig(bias_fit_fraction=1.0, gamma=1.0).bias_fit_fraction == 1.0
+
+
 # --- reservoir discipline ---
 
 

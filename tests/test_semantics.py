@@ -178,14 +178,15 @@ def test_mapping_override_rejects_unknown_names(tmp_path):
         MappingTable.from_file(path)
 
 
-def test_validated_predict_runs_model_and_stays_consistent():
-    import numpy as np
-    from surfsense.classifier import init_params
+def test_validate_and_repair_on_model_output_stays_consistent():
+    from surfsense.classifier import forward, init_params
     from surfsense.imaging import Image
-    from surfsense.semantics import validated_predict
 
     params = init_params(seed=0)
     img = Image(np.random.default_rng(0).uniform(0, 1, (32, 32, 3)))
-    res = validated_predict(params, img, max_retries=2, consistency_floor=0.0)
+    pred = forward(params, img)
+    res = validate_and_repair(
+        pred.p_object, pred.p_material, DEFAULT_MAPPING, max_retries=2, consistency_floor=0.0
+    )
     pairs = set(DEFAULT_MAPPING.valid_index_pairs())
     assert (res.object_index, res.material_index) in pairs
