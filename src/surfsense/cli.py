@@ -101,7 +101,7 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     # continual learning
     "task_stream": (str, ""),
     "buffer_seed_manifest": (str, ""),  # records streamed into the buffer before task 1
-    "buffer_capacity": (int, 500),
+    "buffer_capacity": (_checked(int, lambda v: v >= 0, "must be >= 0"), 500),
     "gamma": (float, 0.75),
     "replay_batch": (int, 16),
     "bias_fit_fraction": (float, 0.1),
@@ -430,14 +430,11 @@ def _stream_records(manifest: Path, side: int) -> Tuple[corpus_mod.SampleRecord,
 
 
 def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
+    clcfg = _cl_config(cfg)
+    buf = ReplayBuffer(capacity=int(cfg["buffer_capacity"]), sampling_mode=clcfg.buffer_mode())
     params = classifier.load_checkpoint(_input_file(_require(cfg, "checkpoint")))
     side = int(cfg["input_side"])
     tasks = _read_task_stream(_input_file(_require(cfg, "task_stream")), side)
-    clcfg = _cl_config(cfg)
-    try:
-        buf = ReplayBuffer(capacity=int(cfg["buffer_capacity"]), sampling_mode=clcfg.buffer_mode())
-    except ValueError as exc:
-        raise ConfigError(f"bad replay setting: {exc}") from None
     if cfg["buffer_seed_manifest"]:  # seed the buffer as harness.cl_evaluation does
         seed_records = _stream_records(_input_file(cfg["buffer_seed_manifest"]), side)
         rng = np.random.default_rng(np.random.SeedSequence((int(cfg["seed"]), 81)))
@@ -448,7 +445,7 @@ def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
         fp.write("task_id,eval_task_id,top1_object,top1_material\n")
         for task_id, eval_id, ao, am in result.metrics:
             fp.write(f"{task_id},{eval_id},{ao:.6f},{am:.6f}\n")
-    print(f"continual run over {len(tasks)} tasks; buffer holds {len(buf.items)} items")
+    print(f"continual run over {len(tasks)} tasks; buffer holds {len(buf.records)} items")
     return 0
 
 

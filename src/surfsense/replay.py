@@ -2,22 +2,23 @@
 
 A bounded memory buffer retains past experiences while the classifier
 trains on a stream of new tasks; each training step mixes a batch of new
-data with ``replay_batch`` items drawn uniformly, with replacement, from
-the buffer.  Each new record enters the buffer once, through
-:func:`insert`.  Five optimization tricks are supported, each
-switchable:
+data with ``replay_batch`` records drawn uniformly, with replacement,
+from the buffer.  The buffer holds the records themselves plus, per
+slot, the record's material and its loss when it entered.  Each new
+record enters the buffer once, through :func:`insert`.  Five
+optimization tricks are supported, each switchable:
 
-1. independent buffer augmentation: every replayed item gets its own
+1. independent buffer augmentation: every replayed record gets its own
    fresh augmentation seed instead of a batch-shared transform;
 2. bias control: per head, a two-parameter affine correction of the
    new-class logits, fit on a fixed-stride slice of the buffer after
    each task and applied at inference;
 3. exponential learning-rate decay per task (lr0 * gamma^t);
 4. balanced insertion: once the buffer is full, the victim comes from
-   the currently most-populated class;
+   the currently most-populated material class;
 5. loss-aware insertion: once the buffer is full, the victim slot is
-   drawn with probability proportional to 1 / (last_loss + eps),
-   retaining difficult memories.
+   drawn with probability proportional to 1 / (loss + eps), retaining
+   difficult memories.
 
 Tricks 4 and 5 pick the buffer's ``sampling_mode``; with neither, the
 buffer is a plain reservoir.  The buffer is single-owner mutable state;
@@ -35,34 +36,29 @@ import numpy as np
 from . import classifier
 from .classifier import BiasParams, HeadBias, ModelParams, TrainConfig, apply_bias  # noqa: F401
 from .corpus import SampleRecord
-from .imaging import Image, augment_batch  # noqa: F401
+from .imaging import augment_batch  # noqa: F401
 
 LOSS_EPS = 1e-3
 SAMPLING_MODES = ("reservoir", "balanced", "loss_aware", "balanced_loss_aware")
 
 
 @dataclass
-class BufferItem:
-    image: Image
-    object: int
-    material: int
-    last_loss: float
-    task_id: int
-    insert_step: int
-
-
-@dataclass
 class ReplayBuffer:
     """Bounded memory with a pluggable eviction discipline.
 
+    ``records`` holds the kept records; slot ``j`` of the preallocated
+    ``material`` and ``loss`` arrays holds ``records[j]``'s material and
+    its loss when it entered, and only :func:`insert` writes a slot.
     ``sampling_mode`` is one of ``SAMPLING_MODES`` (see :func:`insert`);
     ``seen_count`` is the total stream length observed.
     """
 
     capacity: int = 500
     sampling_mode: str = "reservoir"
-    items: List[BufferItem] = field(default_factory=list)
+    records: List[SampleRecord] = field(default_factory=list, init=False)
     seen_count: int = 0
+    material: np.ndarray = field(init=False, repr=False, compare=False)
+    loss: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sampling_mode not in SAMPLING_MODES:
@@ -71,12 +67,12 @@ class ReplayBuffer:
             )
         if self.capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
+        self.material = np.zeros(self.capacity, dtype=int)
+        self.loss = np.zeros(self.capacity)
 
     def class_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for it in self.items:
-            counts[it.material] = counts.get(it.material, 0) + 1
-        return counts
+        classes, counts = np.unique(self.material[: len(self.records)], return_counts=True)
+        return dict(zip(classes.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -121,54 +117,57 @@ class CLConfig:
 
 
 def _most_populated_class(buf: ReplayBuffer, incoming: int, rng: np.random.Generator) -> int:
-    counts = buf.class_counts()
-    top = max(counts.values())
-    tied = sorted(c for c, n in counts.items() if n == top)
+    classes, counts = np.unique(buf.material, return_counts=True)
+    tied = classes[counts == counts.max()]
     if incoming in tied:
         # Preferring the incoming class keeps the count spread at <= 1.
         return incoming
     if len(tied) == 1:
-        return tied[0]
+        return int(tied[0])
     return int(tied[rng.integers(0, len(tied))])
 
 
-def insert(buf: ReplayBuffer, item: BufferItem, rng: np.random.Generator) -> ReplayBuffer:
-    """Stream one item into the buffer under its ``sampling_mode``.
+def insert(
+    buf: ReplayBuffer, rec: SampleRecord, loss: float, rng: np.random.Generator
+) -> ReplayBuffer:
+    """Stream one record, with its current loss, into the buffer under its
+    ``sampling_mode``.
 
-    Every call counts towards ``seen_count``; below capacity the item is
-    appended.  Once full, ``reservoir`` keeps the item with probability
-    capacity / seen_count, in a uniform slot (Vitter's algorithm R).  The
-    other modes always keep it and pick the victim in two steps: the
-    class (``balanced*``: the most populated, so minority classes are
-    never displaced; otherwise any), then the slot within it
-    (``*loss_aware``: with probability proportional to
-    1 / (last_loss + eps), retaining difficult memories; otherwise
-    uniform).
+    Every call counts towards ``seen_count``; below capacity the record
+    takes the next slot without drawing from ``rng``.  Once full,
+    ``reservoir`` keeps it with probability capacity / seen_count, in a
+    uniform slot (Vitter's algorithm R).  The other modes always keep it
+    and pick the victim in two steps: the class (``balanced*``: the most
+    populated material, so minority classes are never displaced;
+    otherwise any), then the slot within it (``*loss_aware``: with
+    probability proportional to 1 / (loss + eps), retaining difficult
+    memories; otherwise uniform).
     """
     buf.seen_count += 1
-    if buf.capacity == 0:
-        return buf
-    if len(buf.items) < buf.capacity:
-        buf.items.append(item)
-        return buf
-    mode = buf.sampling_mode
-    if mode == "reservoir":
-        j = int(rng.integers(0, buf.seen_count))
-        if j < buf.capacity:
-            buf.items[j] = item
-        return buf
-    if mode.startswith("balanced"):
-        victim_class = _most_populated_class(buf, item.material, rng)
-        slots = [i for i, it in enumerate(buf.items) if it.material == victim_class]
-    else:
-        slots = range(len(buf.items))
-    if mode.endswith("loss_aware"):
-        weights = np.array([1.0 / (buf.items[i].last_loss + LOSS_EPS) for i in slots])
-        weights /= weights.sum()
-        pick = int(rng.choice(len(slots), p=weights))
-    else:
-        pick = int(rng.integers(0, len(slots)))
-    buf.items[slots[pick]] = item
+    j = len(buf.records)
+    if j == buf.capacity:
+        if buf.capacity == 0:
+            return buf
+        mode = buf.sampling_mode
+        if mode == "reservoir":
+            j = int(rng.integers(0, buf.seen_count))
+            if j >= buf.capacity:
+                return buf
+        else:
+            if mode.startswith("balanced"):
+                victim = _most_populated_class(buf, rec.material, rng)
+                slots = np.flatnonzero(buf.material == victim)
+            else:
+                slots = np.arange(buf.capacity)
+            if mode.endswith("loss_aware"):
+                weights = 1.0 / (buf.loss[slots] + LOSS_EPS)
+                weights /= weights.sum()
+                j = int(slots[rng.choice(len(slots), p=weights)])
+            else:
+                j = int(slots[rng.integers(0, len(slots))])
+    buf.records[j : j + 1] = [rec]  # appends when j == len(records)
+    buf.material[j] = rec.material
+    buf.loss[j] = loss
     return buf
 
 
@@ -177,62 +176,52 @@ def fill_from_records(
     records: Sequence[SampleRecord],
     rng: np.random.Generator,
     params: Optional[ModelParams] = None,
-    task_id: int = 0,
 ) -> ReplayBuffer:
     """Stream a record list through the buffer (e.g. to seed it with the
     pretraining data).  When ``params`` is given, stored losses are the
     model's current per-sample losses; otherwise zero."""
     losses = np.zeros(len(records)) if params is None else classifier.per_sample_losses(params, records)
-    for i, rec in enumerate(records):
-        insert(
-            buf,
-            BufferItem(rec.image, rec.object, rec.material, float(losses[i]), task_id, i),
-            rng,
-        )
+    for rec, loss in zip(records, losses):
+        insert(buf, rec, float(loss), rng)
     return buf
 
 
 # --- replay drawing ----------------------------------------------------------
 
 
-@dataclass
-class ReplayDraw:
-    items: List[BufferItem]
-    aug_seeds: List[int]
-
-
 def sample_replay_batch(
     buf: ReplayBuffer, n: int, rng: np.random.Generator, cfg: CLConfig
-) -> ReplayDraw:
-    """Uniform draw with replacement plus per-item augmentation seeds.
+) -> Tuple[List[SampleRecord], List[int]]:
+    """A uniform draw with replacement: the drawn records and their
+    augmentation seeds.
 
-    With independent buffer augmentation every drawn item gets its own
+    With independent buffer augmentation every drawn record gets its own
     seed; otherwise the whole draw shares one transform seed.
     """
-    if not buf.items:
+    if not buf.records:
         raise ValueError("cannot sample from an empty buffer")
     if n == 0:
-        return ReplayDraw([], [])
-    idx = rng.integers(0, len(buf.items), size=n)
+        return [], []
+    idx = rng.integers(0, len(buf.records), size=n)
     if cfg.tricks.independent_buffer_augmentation:
         seeds = [int(s) for s in rng.integers(0, 2**63, size=n)]
     else:
-        shared = int(rng.integers(0, 2**63))
-        seeds = [shared] * n
-    return ReplayDraw([buf.items[i] for i in idx], seeds)
+        seeds = [int(rng.integers(0, 2**63))] * n
+    return [buf.records[i] for i in idx], seeds
 
 
 def replay_tensors(
-    draw: ReplayDraw, cfg: CLConfig
+    records: Sequence[SampleRecord], seeds: Sequence[int], cfg: CLConfig
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A draw's (x, y_object, y_material) by :func:`classifier.input_batch`,
     with its draw seeds when ``cfg.train.augment``; ``None`` if it is empty."""
-    if not draw.items:
+    if not records:
         return None
-    seeds = draw.aug_seeds if cfg.train.augment else None
-    x = classifier.input_batch([it.image for it in draw.items], seeds, cfg.train.policy)
-    y_obj = np.array([it.object for it in draw.items], dtype=int)
-    y_mat = np.array([it.material for it in draw.items], dtype=int)
+    x = classifier.input_batch(
+        [r.image for r in records], seeds if cfg.train.augment else None, cfg.train.policy
+    )
+    y_obj = np.array([r.object for r in records], dtype=int)
+    y_mat = np.array([r.material for r in records], dtype=int)
     return x, y_obj, y_mat
 
 
@@ -285,7 +274,7 @@ def fit_affine_on_logits(
 
 def _holdout_slice(n_items: int, fraction: float) -> np.ndarray:
     k = max(1, int(round(n_items * fraction)))
-    # Deterministic spread: every ceil(n/k)-th item.
+    # Deterministic spread: every (n // k)-th slot.
     stride = max(1, n_items // k)
     return np.arange(0, n_items, stride)[:k]
 
@@ -302,42 +291,29 @@ def fit_bias_correction(
     Returns identity corrections when no new classes exist or the
     holdout lacks class coverage.
     """
-    if not new_object_classes and not new_material_classes:
+    if not (new_object_classes or new_material_classes) or not buf.records:
         return BiasParams()
-    if not buf.items:
-        return BiasParams()
-    hold = _holdout_slice(len(buf.items), cfg.bias_fit_fraction)
-    items = [buf.items[i] for i in hold]
-    logits_o, logits_m = classifier.predict_logits(params, items)
-
-    def fit_head(logits, classes, labels, new_classes) -> HeadBias:
+    hold = [buf.records[i] for i in _holdout_slice(len(buf.records), cfg.bias_fit_fraction)]
+    heads = []
+    for logits, classes, labels, new_classes in zip(
+        classifier.predict_logits(params, hold),
+        (params.object_classes, params.material_classes),
+        ([r.object for r in hold], [r.material for r in hold]),
+        (new_object_classes, new_material_classes),
+    ):
         units = [i for i, c in enumerate(classes) if c in set(new_classes)]
-        if not units:
-            return HeadBias()
         lut = {c: i for i, c in enumerate(classes)}
         unit_labels = np.array([lut.get(v, -1) for v in labels])
         ok = unit_labels >= 0
-        old = ok & ~np.isin(unit_labels, units)
-        new = ok & np.isin(unit_labels, units)
-        if not old.any() or not new.any():
-            return HeadBias(new_units=tuple(units))
-        return fit_affine_on_logits(
-            np.asarray(logits[ok], dtype=np.float64), unit_labels[ok], units
-        )
-
-    obj_bias = fit_head(
-        logits_o,
-        params.object_classes,
-        np.array([it.object for it in items]),
-        new_object_classes,
-    )
-    mat_bias = fit_head(
-        logits_m,
-        params.material_classes,
-        np.array([it.material for it in items]),
-        new_material_classes,
-    )
-    return BiasParams(object_head=obj_bias, material_head=mat_bias)
+        is_new = np.isin(unit_labels, units)
+        if not units:
+            heads.append(HeadBias())
+        elif not (ok & ~is_new).any() or not (ok & is_new).any():
+            heads.append(HeadBias(new_units=tuple(units)))
+        else:
+            logits_ok = np.asarray(logits[ok], dtype=np.float64)
+            heads.append(fit_affine_on_logits(logits_ok, unit_labels[ok], units))
+    return BiasParams(*heads)
 
 
 def predict_with_bias(
@@ -391,10 +367,11 @@ def cl_run(
     """Sequential task training with replay mixing and the five tricks.
 
     Each step trains on a new-data batch of ``cfg.train.batch`` records
-    mixed 1:1 with ``cfg.replay_batch`` replayed items (when the buffer
-    has content); the new items then stream into the buffer under its
-    insertion discipline.  With an empty stream of tricks and capacity
-    zero the loop degenerates to plain sequential fine-tuning.
+    mixed 1:1 with ``cfg.replay_batch`` replayed records (when the buffer
+    has content); the new records then stream into the buffer, each with
+    its loss from that step, under its insertion discipline.  With no
+    tricks and capacity zero the loop degenerates to plain sequential
+    fine-tuning.
     """
     params = params.copy()
     new_obj_classes: List[int] = []
@@ -425,10 +402,10 @@ def cl_run(
         insert_rng = np.random.default_rng(np.random.SeedSequence((seed, 403)))
 
         def extra_batch(epoch: int, step: int):
-            if not buf.items:
+            if not buf.records:
                 return None
             draw = sample_replay_batch(buf, cfg.replay_batch, replay_rng, cfg)
-            return replay_tensors(draw, cfg)
+            return replay_tensors(*draw, cfg)
 
         def step_hook(epoch: int, step: int, records, losses):
             # Each stream item enters the buffer exactly once (first
@@ -436,19 +413,8 @@ def cl_run(
             # not inflate the stream count.
             if epoch != 0:
                 return
-            for i, rec in enumerate(records):
-                insert(
-                    buf,
-                    BufferItem(
-                        rec.image,
-                        rec.object,
-                        rec.material,
-                        float(losses[i]),
-                        task.task_id,
-                        buf.seen_count,
-                    ),
-                    insert_rng,
-                )
+            for rec, loss in zip(records, losses):
+                insert(buf, rec, float(loss), insert_rng)
 
         outcome = classifier.train(
             params,

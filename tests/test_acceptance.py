@@ -17,8 +17,8 @@ from surfsense.classifier import TrainConfig, init_params
 from surfsense.cli import main as cli_main
 from surfsense.imaging import Image, gaussian_blur, log_sharpness
 from surfsense.imu_trigger import TriggerConfig, demo_trace, run_stream
+from surfsense.corpus import SampleRecord
 from surfsense.replay import (
-    BufferItem,
     CLConfig,
     CLTricks,
     ReplayBuffer,
@@ -103,9 +103,9 @@ def test_criterion_02_log_sharpness_properties():
 # -- 3. reservoir statistics --------------------------------------------------
 
 
-def _dummy_item(material: int, loss: float = 0.0) -> BufferItem:
+def _dummy_record(material: int) -> SampleRecord:
     img = Image(np.full((2, 2, 3), 0.5, dtype=np.float32))
-    return BufferItem(img, 1, material, loss, 0, 0)
+    return SampleRecord(1, 1, material, img, 0.0)
 
 
 def test_criterion_03_reservoir_statistics():
@@ -114,16 +114,15 @@ def test_criterion_03_reservoir_statistics():
     # uniform inclusion: N=10,000, M=500, 200 seeds
     n, m, n_seeds = 10_000, 500, 200
     counts = np.zeros(n)
-    template = _dummy_item(0)
+    template = _dummy_record(0)
+    stream = [SampleRecord(1, 1, i, template.image, 0.0) for i in range(n)]
     for seed in range(n_seeds):
         buf = ReplayBuffer(capacity=m)
         rng = np.random.default_rng(seed)
-        for i in range(n):
-            insert(
-                buf, BufferItem(template.image, 1, i, 0.0, 0, i), rng
-            )
-        for it in buf.items:
-            counts[it.material] += 1
+        for rec in stream:
+            insert(buf, rec, 0.0, rng)
+        for rec in buf.records:
+            counts[rec.material] += 1
     freq_ok = abs(counts.mean() / n_seeds - m / n) < 1e-12
     expected = n_seeds * m / n
     chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -135,20 +134,20 @@ def test_criterion_03_reservoir_statistics():
     rng = np.random.default_rng(7)
     for i in range(5000):
         mat = 1 if rng.random() < 0.9 else 2
-        insert(buf, _dummy_item(mat), rng)
+        insert(buf, _dummy_record(mat), 0.0, rng)
     cc = buf.class_counts()
     balanced_ok = abs(cc.get(1, 0) - 50) <= 1 and abs(cc.get(2, 0) - 50) <= 1
 
     # loss-aware eviction ratio for losses {0.01, 10.0}
     rng = np.random.default_rng(11)
-    lo, hi = _dummy_item(1, 0.01), _dummy_item(2, 10.0)
+    lo, hi, new = _dummy_record(1), _dummy_record(2), _dummy_record(3)
     evict_lo = evict_hi = 0
     for _ in range(140_000):
         buf2 = ReplayBuffer(capacity=2, sampling_mode="loss_aware")
-        buf2.items = [lo, hi]
-        buf2.seen_count = 2
-        insert(buf2, _dummy_item(3, 1.0), rng)
-        if all(it.material != 1 for it in buf2.items):
+        insert(buf2, lo, 0.01, rng)
+        insert(buf2, hi, 10.0, rng)
+        insert(buf2, new, 1.0, rng)
+        if all(rec.material != 1 for rec in buf2.records):
             evict_lo += 1
         else:
             evict_hi += 1

@@ -358,7 +358,6 @@ def test_negative_input_side_is_a_usage_error(tmp_path, capsys):
     [
         ("gamma", 2, "gamma must be"),
         ("replay_batch", 0, "replay_batch must be"),
-        ("buffer_capacity", -1, "capacity must be"),
         ("bias_fit_fraction", "nan", "bias_fit_fraction must be"),
         ("bias_fit_fraction", 0, "bias_fit_fraction must be"),
         ("bias_fit_fraction", 1.5, "bias_fit_fraction must be"),
@@ -385,6 +384,14 @@ def test_bad_replay_settings_are_config_errors(tmp_path, capsys, key, value, mes
     assert run(["cl-run", cfg]) == 2
     assert f"error: config: bad replay setting: {message}" in capsys.readouterr().err
     assert not (out / "checkpoint.bin").exists()
+
+
+def test_negative_buffer_capacity_names_its_key_and_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.txt", out_dir=tmp_path / "cl", buffer_capacity=-1)
+    capsys.readouterr()
+    assert run(["cl-run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config: {cfg}:2: bad value for 'buffer_capacity': must be >= 0" in err
 
 
 def test_validate_exit_codes(capsys):
@@ -500,7 +507,8 @@ def test_task_stream_errors_name_path_and_line(tmp_path):
     assert [t.task_id for t in _read_task_stream(stream, 0)] == [1]
 
 
-def test_cl_run_missing_image_in_manifest_is_runtime_error(tmp_path):
+def _cl_run_config_with_missing_image(tmp_path, **extra):
+    """A cl-run config whose task manifest names an image that is gone."""
     from surfsense import classifier
 
     gen = write_config(
@@ -514,13 +522,26 @@ def test_cl_run_missing_image_in_manifest_is_runtime_error(tmp_path):
     classifier.save_checkpoint(classifier.init_params(seed=6), ckpt)
     stream = tmp_path / "stream.txt"
     stream.write_text("1 gen/corpus/manifest.txt gen/corpus/manifest.txt\n")
-    cfg = write_config(
+    return write_config(
         tmp_path / "c.txt",
         out_dir=tmp_path / "cl",
         checkpoint=ckpt,
         task_stream=stream,
         epochs=1,
         buffer_capacity=4,
+        **extra,
     )
+
+
+def test_cl_run_missing_image_in_manifest_is_runtime_error(tmp_path):
+    cfg = _cl_run_config_with_missing_image(tmp_path)
     assert run(["cl-run", cfg]) == 1
     assert not (tmp_path / "cl" / "checkpoint.bin").exists()
+
+
+def test_cl_run_checks_replay_settings_before_reading_tasks(tmp_path, capsys):
+    cfg = _cl_run_config_with_missing_image(tmp_path, gamma=2)
+    capsys.readouterr()
+    # the missing image would exit 1, but the bad setting is found first
+    assert run(["cl-run", cfg]) == 2
+    assert "error: config: bad replay setting: gamma" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from surfsense.classifier import TrainConfig, init_params
 from surfsense.corpus import SampleRecord
 from surfsense.imaging import Image
 from surfsense.replay import (
-    BufferItem,
     CLConfig,
     CLTricks,
     HeadBias,
@@ -27,10 +27,10 @@ from surfsense.replay import (
 LOSS_EPS = replay.LOSS_EPS
 
 
-def item(material=1, loss=0.0, obj=1, seed=0, side=8):
+def rec(material=1, obj=1, seed=0, side=8):
     rng = np.random.default_rng(seed)
     img = Image(rng.uniform(0, 1, (side, side, 3)).astype(np.float32))
-    return BufferItem(img, obj, material, loss, task_id=0, insert_step=0)
+    return SampleRecord(1, obj, material, img, 0.0)
 
 
 def simple_records(labels, side=8):
@@ -81,8 +81,8 @@ def test_under_capacity_retains_everything():
     buf = ReplayBuffer(capacity=500)
     rng = np.random.default_rng(0)
     for i in range(500):
-        insert(buf, item(seed=i), rng)
-    assert len(buf.items) == 500
+        insert(buf, rec(seed=i), 0.0, rng)
+    assert len(buf.records) == 500
     assert buf.seen_count == 500
 
 
@@ -92,9 +92,9 @@ def test_capacity_one_stream_of_two_is_fair():
     for seed in range(trials):
         buf = ReplayBuffer(capacity=1)
         rng = np.random.default_rng(seed)
-        insert(buf, item(material=1), rng)
-        insert(buf, item(material=2), rng)
-        hits += buf.items[0].material == 2
+        insert(buf, rec(material=1), 0.0, rng)
+        insert(buf, rec(material=2), 0.0, rng)
+        hits += buf.records[0].material == 2
     # exact inclusion probability is 1/2
     assert abs(hits / trials - 0.5) < 0.03
 
@@ -102,13 +102,14 @@ def test_capacity_one_stream_of_two_is_fair():
 def test_reservoir_inclusion_frequency_small_scale():
     n, m, seeds = 400, 40, 120
     counts = np.zeros(n)
+    stream = [rec(material=i) for i in range(n)]
     for s in range(seeds):
         buf = ReplayBuffer(capacity=m)
         rng = np.random.default_rng(s)
-        for i in range(n):
-            insert(buf, item(material=i), rng)
-        for it in buf.items:
-            counts[it.material] += 1
+        for r in stream:
+            insert(buf, r, 0.0, rng)
+        for r in buf.records:
+            counts[r.material] += 1
     freq = counts / seeds
     assert abs(freq.mean() - m / n) < 1e-9  # each run keeps exactly m
     # no position should be wildly over/under represented
@@ -124,8 +125,8 @@ def test_capacity_zero_counts_but_stores_nothing():
     buf = ReplayBuffer(capacity=0)
     rng = np.random.default_rng(0)
     for i in range(10):
-        insert(buf, item(), rng)
-    assert buf.items == []
+        insert(buf, rec(), 0.0, rng)
+    assert buf.records == []
     assert buf.seen_count == 10
 
 
@@ -137,7 +138,7 @@ def test_balanced_ninety_ten_stream_equalizes():
     rng = np.random.default_rng(7)
     for i in range(5000):
         mat = 1 if rng.random() < 0.9 else 2
-        insert(buf, item(material=mat), rng)
+        insert(buf, rec(material=mat), 0.0, rng)
     counts = buf.class_counts()
     assert abs(counts[1] - 50) <= 1
     assert abs(counts[2] - 50) <= 1
@@ -147,14 +148,14 @@ def test_balanced_single_class_evicts_uniformly():
     # with one class the victim pool is the whole buffer: uniform slots
     buf = ReplayBuffer(capacity=20, sampling_mode="balanced")
     rng = np.random.default_rng(3)
+    one = rec(material=1)
     for i in range(20):
-        insert(buf, item(material=1, loss=float(i)), rng)
+        insert(buf, one, float(i), rng)
     evictions = np.zeros(20)
     for trial in range(4000):
-        snapshot = [it.last_loss for it in buf.items]
-        insert(buf, item(material=1, loss=1000.0 + trial), rng)
-        changed = [i for i in range(20) if buf.items[i].last_loss != snapshot[i]]
-        evictions[changed[0]] += 1
+        snapshot = buf.loss.copy()
+        insert(buf, one, 1000.0 + trial, rng)
+        evictions[np.flatnonzero(buf.loss != snapshot)[0]] += 1
     # chi-square uniformity over slots
     expected = evictions.sum() / 20
     chi2 = ((evictions - expected) ** 2 / expected).sum()
@@ -167,7 +168,7 @@ def test_balanced_three_class_spread_at_most_one():
     buf = ReplayBuffer(capacity=10, sampling_mode="balanced")
     rng = np.random.default_rng(5)
     for i in range(3000):
-        insert(buf, item(material=1 + i % 3), rng)
+        insert(buf, rec(material=1 + i % 3), 0.0, rng)
         if buf.seen_count > 30:
             counts = sorted(buf.class_counts().values())
             assert counts[-1] - counts[0] <= 1
@@ -180,12 +181,13 @@ def test_balanced_three_class_spread_at_most_one():
 def test_loss_aware_evicts_easy_items():
     rng = np.random.default_rng(11)
     evict_low = evict_high = 0
+    easy, hard, new = rec(material=1), rec(material=2), rec(material=3)
     for _ in range(60_000):
         buf = ReplayBuffer(capacity=2, sampling_mode="loss_aware")
-        buf.items = [item(material=1, loss=0.01), item(material=2, loss=10.0)]
-        buf.seen_count = 2
-        insert(buf, item(material=3, loss=1.0), rng)
-        mats = {it.material for it in buf.items}
+        insert(buf, easy, 0.01, rng)
+        insert(buf, hard, 10.0, rng)
+        insert(buf, new, 1.0, rng)
+        mats = {r.material for r in buf.records}
         if 1 not in mats:
             evict_low += 1
         else:
@@ -198,12 +200,13 @@ def test_loss_aware_evicts_easy_items():
 def test_loss_aware_equal_losses_is_uniform():
     rng = np.random.default_rng(13)
     evictions = np.zeros(10)
+    kept, new = [rec(material=i) for i in range(10)], rec(material=99)
     for _ in range(20_000):
         buf = ReplayBuffer(capacity=10, sampling_mode="loss_aware")
-        buf.items = [item(material=i, loss=2.0) for i in range(10)]
-        buf.seen_count = 10
-        insert(buf, item(material=99, loss=2.0), rng)
-        gone = next(i for i in range(10) if buf.items[i].material != i)
+        for r in kept:
+            insert(buf, r, 2.0, rng)
+        insert(buf, new, 2.0, rng)
+        gone = next(i for i in range(10) if buf.records[i].material != i)
         evictions[gone] += 1
     expected = evictions.sum() / 10
     chi2 = ((evictions - expected) ** 2 / expected).sum()
@@ -215,10 +218,9 @@ def test_loss_aware_equal_losses_is_uniform():
 def test_loss_aware_zero_loss_stays_finite():
     rng = np.random.default_rng(17)
     buf = ReplayBuffer(capacity=2, sampling_mode="loss_aware")
-    buf.items = [item(material=1, loss=0.0), item(material=2, loss=0.0)]
-    buf.seen_count = 2
-    insert(buf, item(material=3, loss=0.0), rng)
-    assert len(buf.items) == 2
+    for material in (1, 2, 3):
+        insert(buf, rec(material=material), 0.0, rng)
+    assert len(buf.records) == 2
 
 
 def test_fill_from_records_stores_each_records_joint_loss():
@@ -226,14 +228,110 @@ def test_fill_from_records_stores_each_records_joint_loss():
     params = init_params(seed=0, object_classes=[1, 3, 5], material_classes=[1, 3, 7])
     buf = replay.fill_from_records(ReplayBuffer(capacity=20), recs, np.random.default_rng(0), params)
     assert buf.seen_count == len(recs)
-    for it, rec in zip(buf.items, recs):
-        pred = classifier.forward(params, rec.image)
-        want = -np.log(pred.p_object[[1, 3, 5].index(rec.object)]) - np.log(
-            pred.p_material[[1, 3, 7].index(rec.material)]
+    assert all(a is b for a, b in zip(buf.records, recs, strict=True))
+    for loss, r in zip(buf.loss, recs):
+        pred = classifier.forward(params, r.image)
+        want = -np.log(pred.p_object[[1, 3, 5].index(r.object)]) - np.log(
+            pred.p_material[[1, 3, 7].index(r.material)]
         )
-        assert it.last_loss == pytest.approx(float(want), rel=1e-5)
+        assert loss == pytest.approx(float(want), rel=1e-5)
     no_params = replay.fill_from_records(ReplayBuffer(capacity=20), recs, np.random.default_rng(0))
-    assert [it.last_loss for it in no_params.items] == [0.0] * len(recs)
+    assert no_params.loss[: len(recs)].tolist() == [0.0] * len(recs)
+
+
+# --- the list-based reference ---
+
+
+@dataclass
+class BufferItem:
+    image: Image
+    object: int
+    material: int
+    last_loss: float
+    task_id: int
+    insert_step: int
+
+
+@dataclass
+class ListBuffer:
+    capacity: int
+    sampling_mode: str
+    items: List[BufferItem]
+    seen_count: int = 0
+
+    def class_counts(self) -> Dict[int, int]:
+        counts: Dict[int, int] = {}
+        for it in self.items:
+            counts[it.material] = counts.get(it.material, 0) + 1
+        return counts
+
+
+def _most_populated_class(buf: ListBuffer, incoming: int, rng: np.random.Generator) -> int:
+    counts = buf.class_counts()
+    top = max(counts.values())
+    tied = sorted(c for c, n in counts.items() if n == top)
+    if incoming in tied:
+        return incoming
+    if len(tied) == 1:
+        return tied[0]
+    return int(tied[rng.integers(0, len(tied))])
+
+
+def reference_insert(buf: ListBuffer, item: BufferItem, rng: np.random.Generator) -> None:
+    """The buffer's former insert: a list of items, rescanned per insert."""
+    buf.seen_count += 1
+    if buf.capacity == 0:
+        return
+    if len(buf.items) < buf.capacity:
+        buf.items.append(item)
+        return
+    mode = buf.sampling_mode
+    if mode == "reservoir":
+        j = int(rng.integers(0, buf.seen_count))
+        if j < buf.capacity:
+            buf.items[j] = item
+        return
+    if mode.startswith("balanced"):
+        victim_class = _most_populated_class(buf, item.material, rng)
+        slots = [i for i, it in enumerate(buf.items) if it.material == victim_class]
+    else:
+        slots = range(len(buf.items))
+    if mode.endswith("loss_aware"):
+        weights = np.array([1.0 / (buf.items[i].last_loss + LOSS_EPS) for i in slots])
+        weights /= weights.sum()
+        pick = int(rng.choice(len(slots), p=weights))
+    else:
+        pick = int(rng.integers(0, len(slots)))
+    buf.items[slots[pick]] = item
+
+
+@pytest.mark.parametrize("mode", replay.SAMPLING_MODES)
+@pytest.mark.parametrize("capacity", [0, 1, 2, 7, 29])
+def test_insert_matches_the_list_based_reference(mode, capacity):
+    for seed in range(6):
+        data = np.random.default_rng((seed, 1))
+        n_classes = int(data.integers(1, 5))
+        stream = []
+        for i in range(300):
+            img = Image(np.full((1, 1, 3), 0.5, dtype=np.float32))
+            material = int(data.integers(1, n_classes + 1))
+            # some exact ties and zeros among the losses
+            loss = float(data.choice([0.0, 1.0, data.exponential()]))
+            stream.append((SampleRecord(1, 1, material, img, float(i)), loss))
+        buf = ReplayBuffer(capacity=capacity, sampling_mode=mode)
+        ref = ListBuffer(capacity, mode, [])
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i, (r, loss) in enumerate(stream):
+            insert(buf, r, loss, rng)
+            reference_insert(ref, BufferItem(r.image, r.object, r.material, loss, 0, i), ref_rng)
+            pairs = zip(buf.records, ref.items, strict=True)
+            assert all(x.image is it.image for x, it in pairs)
+            kept = len(ref.items)
+            assert buf.loss[:kept].tolist() == [it.last_loss for it in ref.items]
+            assert buf.material[:kept].tolist() == [it.material for it in ref.items]
+            assert buf.class_counts() == ref.class_counts()
+        assert buf.seen_count == ref.seen_count == len(stream)
+        assert rng.integers(2**63) == ref_rng.integers(2**63)
 
 
 # --- replay draws ---
@@ -245,31 +343,29 @@ def test_sample_replay_empty_buffer_rejected():
 
 
 def test_sample_replay_zero_items():
-    buf = ReplayBuffer(capacity=4)
-    buf.items = [item()]
-    draw = sample_replay_batch(buf, 0, np.random.default_rng(0), CLConfig())
-    assert draw.items == []
+    buf = insert(ReplayBuffer(capacity=4), rec(), 0.0, np.random.default_rng(0))
+    assert sample_replay_batch(buf, 0, np.random.default_rng(0), CLConfig()) == ([], [])
 
 
 def test_sample_replay_deterministic():
     buf = ReplayBuffer(capacity=8)
-    buf.items = [item(material=i) for i in range(8)]
+    for i in range(8):
+        insert(buf, rec(material=i), 0.0, np.random.default_rng(0))
     cfg = CLConfig(tricks=CLTricks(independent_buffer_augmentation=True))
     a = sample_replay_batch(buf, 5, np.random.default_rng(42), cfg)
     b = sample_replay_batch(buf, 5, np.random.default_rng(42), cfg)
-    assert [it.material for it in a.items] == [it.material for it in b.items]
-    assert a.aug_seeds == b.aug_seeds
+    assert [r.material for r in a[0]] == [r.material for r in b[0]]
+    assert a[1] == b[1]
 
 
 def test_independent_augmentation_gives_distinct_seeds():
-    buf = ReplayBuffer(capacity=2)
-    buf.items = [item(material=1)]
+    buf = insert(ReplayBuffer(capacity=2), rec(material=1), 0.0, np.random.default_rng(0))
     on = CLConfig(tricks=CLTricks(independent_buffer_augmentation=True))
     off = CLConfig()
-    draw_on = sample_replay_batch(buf, 6, np.random.default_rng(0), on)
-    draw_off = sample_replay_batch(buf, 6, np.random.default_rng(0), off)
-    assert len(set(draw_on.aug_seeds)) > 1  # same item, different transforms
-    assert len(set(draw_off.aug_seeds)) == 1  # batch-shared transform
+    _, seeds_on = sample_replay_batch(buf, 6, np.random.default_rng(0), on)
+    _, seeds_off = sample_replay_batch(buf, 6, np.random.default_rng(0), off)
+    assert len(set(seeds_on)) > 1  # same record, different transforms
+    assert len(set(seeds_off)) == 1  # batch-shared transform
 
 
 # --- bias control ---
@@ -314,8 +410,7 @@ def test_old_class_ordering_preserved():
 
 
 def test_no_new_classes_gives_identity():
-    buf = ReplayBuffer(capacity=4)
-    buf.items = [item()]
+    buf = insert(ReplayBuffer(capacity=4), rec(), 0.0, np.random.default_rng(0))
     params = init_params(seed=0)
     bias = fit_bias_correction(params, buf, CLConfig())
     assert bias.object_head == HeadBias()
@@ -396,7 +491,7 @@ def test_cl_run_grows_heads_and_buffers_items():
     result = cl_run(params, [Task(1, tuple(a), tuple(a)), Task(2, tuple(b), tuple(b))], cfg, buf)
     assert 5 in result.params.object_classes
     assert set(result.params.material_classes) >= {7, 8}
-    assert len(buf.items) == 16
+    assert len(buf.records) == 16
     assert buf.seen_count == len(a) + len(b)
     # metrics rows: task1 evaluated once, then both after task 2
     assert [(r[0], r[1]) for r in result.metrics] == [(1, 1), (2, 1), (2, 2)]
