@@ -15,9 +15,9 @@ from scipy import stats
 from surfsense import classifier, corpus as corpus_mod, harness, replay
 from surfsense.classifier import TrainConfig, init_params
 from surfsense.cli import main as cli_main
+from surfsense.corpus import SampleRecord
 from surfsense.imaging import Image, gaussian_blur, log_sharpness
 from surfsense.imu_trigger import TriggerConfig, demo_trace, run_stream
-from surfsense.corpus import SampleRecord
 from surfsense.replay import (
     CLConfig,
     CLTricks,
