@@ -243,7 +243,10 @@ def degrade(img: Image, kind: str, rng_seed) -> Image:
 def harden_records(
     records: Sequence[SampleRecord], rng_seed: int
 ) -> List[SampleRecord]:
-    """Degraded copies: each image gets one random degradation combo."""
+    """Degraded copies: each image gets one random degradation combo.
+
+    Returns one record per input, in input order, with ``path`` empty
+    and an image of the input image's dtype (see :mod:`.imaging`)."""
     rng = np.random.default_rng(np.random.SeedSequence((rng_seed, 71)))
     out = []
     for i, rec in enumerate(records):

@@ -1,14 +1,16 @@
 """Image quality gating, geometry, augmentation, and raster I/O.
 
 Images are float rasters in [0, 1], shape (height, width, channels) with
-1 or 3 channels.  The sharpness gate is the variance of a
-Laplacian-of-Gaussian response; blurrier images score lower.
-Augmentation flips, rotates and shifts each image by four doubles drawn
-from its own seed and fills out-of-frame pixels by reflection; the gate
-and augmentation reflect-pad through one in-place helper.  The module
-keeps no state between calls, so concurrent calls on different inputs
-do not interact; a ``Generator`` passed as a seed is advanced by
-exactly four doubles per image.
+1 or 3 channels.  Every operation that returns an image returns one of
+its input's dtype, so a float32 corpus stays float32 through
+degradation, resizing and augmentation.  The sharpness gate is the
+variance of a Laplacian-of-Gaussian response; blurrier images score
+lower.  Augmentation flips, rotates and shifts each image by four
+doubles drawn from its own seed and fills out-of-frame pixels by
+reflection; the gate and augmentation reflect-pad through one in-place
+helper.  The module keeps no state between calls, so concurrent calls
+on different inputs do not interact; a ``Generator`` passed as a seed
+is advanced by exactly four doubles per image.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ class Image:
             raise ValueError(f"expected (H, W, 1|3) array, got shape {px.shape}")
         if px.shape[0] == 0 or px.shape[1] == 0:
             raise ValueError("empty image")
-        if not np.all(np.isfinite(px)):
+        # min and max propagate nan, and +-inf is one of them if present.
+        lo, hi = px.min(), px.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("non-finite pixel values")
-        if px.min() < 0.0 or px.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("pixel values must lie in [0, 1]")
 
     @property
@@ -211,9 +215,15 @@ def adjust_brightness(img: Image, factor: float) -> Image:
 
 
 def add_gaussian_noise(img: Image, sigma: float, rng_seed: SeedLike) -> Image:
+    """Add zero-mean Gaussian noise of std ``sigma`` and clamp to [0, 1].
+
+    The sum and the clamp run in float64 and the result is stored in the
+    input's dtype: a float32 image comes back float32, the float64 result
+    rounded once.
+    """
     rng = _as_generator(rng_seed)
     noisy = img.pixels + rng.normal(0.0, sigma, size=img.pixels.shape)
-    return Image(np.clip(noisy, 0.0, 1.0))
+    return Image(np.clip(noisy, 0.0, 1.0).astype(img.pixels.dtype, copy=False))
 
 
 def center_crop_resize(img: Image, side: int) -> Image:
@@ -248,7 +258,7 @@ def _bilinear_resize(square: np.ndarray, side: int) -> np.ndarray:
         rows[:, i0, :] * (1.0 - frac)[None, :, None]
         + rows[:, i1, :] * frac[None, :, None]
     )
-    return out
+    return out.astype(square.dtype, copy=False)
 
 
 def _as_generator(seed: SeedLike) -> np.random.Generator:

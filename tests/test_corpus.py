@@ -18,6 +18,7 @@ from surfsense.corpus import (
 from surfsense.imaging import Image, save_image, to_luminance
 from surfsense.semantics import DEFAULT_TAXONOMY
 from surfsense.synth import MaterialStyle, SynthSpec, synth_generate
+from test_imaging import reference_noise_pixels
 
 
 def tiny_spec(seed=3, per_class=6, persons=3, side=32, **kw):
@@ -467,5 +468,23 @@ def test_corpus_pixels_match_golden_digest(name):
 def test_hardened_corpus_matches_golden_digest():
     records = synth_generate(GOLDEN_CORPORA["base_64"][0]()).records
     assert _pixel_digest(harness.harden_records(records, 9)) == (
-        "5b3fe623e5b0ed59efba003fe8317e4d4c63308f151fdac7ad24a5c603f0f1e4"
+        "d1fb2adf0b36ea4b0f078a39af6498c07e313c2bef5f9288f74d08bac10c6bce"
     )
+
+
+def test_hardened_corpus_is_float32_within_eps_of_float64_noise(monkeypatch):
+    records = synth_generate(GOLDEN_CORPORA["base_64"][0]()).records
+    new = harness.harden_records(records, 9)
+
+    def former_noise(img, sigma, seed):  # a float32 image came back float64
+        return Image(reference_noise_pixels(img, sigma, seed))
+
+    monkeypatch.setattr(harness, "add_gaussian_noise", former_noise)
+    old = harness.harden_records(records, 9)
+    assert {r.image.pixels.dtype for r in records} == {np.dtype(np.float32)}
+    assert {r.image.pixels.dtype for r in new} == {np.dtype(np.float32)}
+    # the former set held float64 images wherever noise was applied
+    assert np.dtype(np.float64) in {r.image.pixels.dtype for r in old}
+    eps = np.finfo(np.float32).eps
+    for a, b in zip(new, old):
+        assert np.max(np.abs(a.image.pixels - b.image.pixels)) <= eps

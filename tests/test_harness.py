@@ -4,6 +4,7 @@ import pytest
 from surfsense.classifier import TrainConfig, forward, init_params
 from surfsense.corpus import make_split
 from surfsense.harness import (
+    build_cl_eval,
     confusion,
     harden_records,
     lopo_report,
@@ -262,3 +263,17 @@ def test_select_difficult_puts_errors_first_then_low_confidence():
     assert keys == sorted(keys)
     assert keys[-1] <= min((not wrong[i], conf[i]) for i in range(len(recs)) if i not in picked)
     assert select_difficult([], params, keep=3) == []
+
+
+def test_build_cl_eval_keeps_a_float32_corpus_float32():
+    setup = build_cl_eval(
+        3, images_per_class=4, side=16, persons=2, train_cfg=TrainConfig(lr0=2e-3, epochs=1, seed=3)
+    )
+    names = (
+        "buffer_source", "original_test", "hardened_train",
+        "hardened_test", "novel_train", "novel_test",
+    )  # fmt: skip
+    for name in names:
+        records = getattr(setup, name)
+        assert records, name
+        assert {r.image.pixels.dtype for r in records} == {np.dtype(np.float32)}, name

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfsense import imaging
+from surfsense.harness import DEGRADATION_COMBOS, degrade
 from surfsense.imaging import (
     AugmentPolicy,
     IDENTITY_POLICY,
@@ -224,6 +225,38 @@ def test_empty_image_rejected():
         Image(np.zeros((0, 4, 1)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "non-finite pixel values"),
+        (np.inf, "non-finite pixel values"),
+        (-np.inf, "non-finite pixel values"),
+        (-0.01, r"pixel values must lie in \[0, 1\]"),
+        (1.01, r"pixel values must lie in \[0, 1\]"),
+    ],
+)
+def test_image_rejects_bad_pixel_with_its_message(bad, message, dtype):
+    for where in ((0, 0, 0), (3, 2, 1)):  # first pixel and an interior one
+        px = np.full((4, 5, 3), 0.5, dtype=dtype)
+        px[where] = bad
+        with pytest.raises(ValueError, match=message):
+            Image(px)
+
+
+def test_image_rejects_nan_beside_out_of_range_as_non_finite():
+    px = np.full((4, 4, 1), 0.5)
+    px[0, 0, 0], px[1, 1, 0] = -2.0, np.nan
+    with pytest.raises(ValueError, match="non-finite pixel values"):
+        Image(px)
+
+
+def test_image_accepts_the_closed_unit_interval():
+    px = np.full((2, 2, 1), 0.5, dtype=np.float32)
+    px[0, 0, 0], px[1, 1, 0] = 0.0, 1.0
+    assert Image(px).pixels is px
+
+
 # --- crop / resize ---
 
 
@@ -277,6 +310,13 @@ def test_resize_idempotent_at_target():
     once = center_crop_resize(img, 16)
     twice = center_crop_resize(once, 16)
     assert np.array_equal(once.pixels, twice.pixels)
+
+
+def test_resize_float32_is_float64_result_rounded():
+    px = random_texture(6, side=23).pixels
+    want = center_crop_resize(Image(px.astype(np.float32).astype(np.float64)), 10)
+    got = center_crop_resize(Image(px.astype(np.float32)), 10)
+    assert np.array_equal(got.pixels, want.pixels.astype(np.float32))
 
 
 def test_zero_side_rejected():
@@ -578,6 +618,45 @@ def test_noise_seeded():
     b = add_gaussian_noise(img, 0.1, 5)
     assert np.array_equal(a.pixels, b.pixels)
     assert not np.array_equal(a.pixels, img.pixels)
+
+
+def reference_noise_pixels(img, sigma, seed):
+    """The former noise formula, in float64 whatever the input dtype; kept
+    as the bit reference."""
+    rng = np.random.default_rng(seed)
+    return np.clip(img.pixels + rng.normal(0.0, sigma, size=img.pixels.shape), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_noise_is_float64_formula_stored_in_input_dtype(seed, channels):
+    px = random_texture(seed % 97, side=24, channels=channels).pixels
+    img64, img32 = Image(px), Image(px.astype(np.float32))
+    # float64: the former bits exactly
+    got64 = add_gaussian_noise(img64, 0.1, seed).pixels
+    assert got64.dtype == np.float64
+    assert got64.tobytes() == reference_noise_pixels(img64, 0.1, seed).tobytes()
+    # float32: the former float64 result, rounded once
+    got32 = add_gaussian_noise(img32, 0.1, seed).pixels
+    want32 = reference_noise_pixels(img32, 0.1, seed).astype(np.float32)
+    assert got32.dtype == np.float32
+    assert got32.tobytes() == want32.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_degradation_returns_its_input_dtype(dtype):
+    img = Image(random_texture(7, side=20).pixels.astype(dtype))
+    kinds = sorted({kind for combo in DEGRADATION_COMBOS for kind in combo})
+    assert kinds == ["blur2", "blur4", "bright_down", "bright_up", "noise"]
+    outs = [degrade(img, kind, np.random.SeedSequence(i)) for i, kind in enumerate(kinds)]
+    outs += [
+        gaussian_blur(img, 1.5),
+        adjust_brightness(img, 0.8),
+        center_crop_resize(img, 20),
+        center_crop_resize(img, 13),
+        center_crop_resize(img, 31),
+    ]
+    assert [out.pixels.dtype for out in outs] == [np.dtype(dtype)] * len(outs)
 
 
 # --- PPM / PGM I/O ---
