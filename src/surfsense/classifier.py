@@ -64,9 +64,6 @@ class ModelParams:
     def tensor_names(self) -> List[str]:
         return list(self.tensors.keys())
 
-    def n_parameters(self) -> int:
-        return sum(v.size for v in self.tensors.values())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -392,20 +389,15 @@ def _apply_input_norm(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def _forward_trunk(
-    params: ModelParams, x: np.ndarray, want_cache: bool, margins: Optional[list] = None
-):
+def _forward_trunk(params: ModelParams, x: np.ndarray, want_cache: bool):
     """Pooled features of an (N, C, H, W) batch.  The activations between
-    kernels are channel-major; ``margins``, if given, collects each ReLU's
-    smallest |input|."""
+    kernels are channel-major."""
     t = params.tensors
     x = _apply_input_norm(params, x)
     cache: Dict[str, object] = {}
 
     def relu(z):
         zc = _swap(z)
-        if margins is not None:
-            margins.append(float(np.abs(zc).min()))
         mask = zc > 0
         # In place: no pre-activation is kept, in the cache or elsewhere.
         return np.multiply(zc, mask, out=zc), mask
@@ -559,17 +551,6 @@ def loss_and_grad(params: ModelParams, batch) -> Tuple[float, Dict[str, np.ndarr
         raise ValueError("empty batch")
     loss, grads, _ = _loss_grad(params, x, np.asarray(y_obj), np.asarray(y_mat))
     return loss, grads
-
-
-def relu_kink_margin(params: ModelParams, x: np.ndarray) -> float:
-    """Smallest |pre-activation| across all ReLUs for this input.
-
-    Finite-difference gradient checks are only meaningful when the step
-    size stays well below this margin (no activation mask flips).
-    """
-    margins: List[float] = []
-    _forward_trunk(params, x.astype(params.dtype, copy=False), want_cache=False, margins=margins)
-    return min(margins)
 
 
 def per_sample_losses(params: ModelParams, records: Sequence) -> np.ndarray:

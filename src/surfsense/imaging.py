@@ -1,16 +1,19 @@
 """Image quality gating, geometry, augmentation, and raster I/O.
 
 Images are float rasters in [0, 1], shape (height, width, channels) with
-1 or 3 channels.  Every operation that returns an image returns one of
-its input's dtype, so a float32 corpus stays float32 through
-degradation, resizing and augmentation.  The sharpness gate is the
-variance of a Laplacian-of-Gaussian response; blurrier images score
-lower.  Augmentation flips, rotates and shifts each image by four
-doubles drawn from its own seed and fills out-of-frame pixels by
+1 or 3 channels; bool and integer pixel arrays are rejected.  Every
+operation that returns an image returns one of its input's dtype, so a
+float32 corpus stays float32 through degradation, resizing and
+augmentation.  The sharpness gate is the variance of a
+Laplacian-of-Gaussian response; blurrier images score lower.  It runs in
+float32 for a float32 image (captures, renders and PPM loads) and in
+float64 for any other dtype; the defocus degradation always weights by
+the float64 kernel.  Augmentation flips, rotates and shifts each image
+by four doubles drawn from its own seed and fills out-of-frame pixels by
 reflection; the gate and augmentation reflect-pad through one in-place
-helper.  The module keeps no state between calls, so concurrent calls
-on different inputs do not interact; a ``Generator`` passed as a seed
-is advanced by exactly four doubles per image.
+helper.  The module keeps no state between calls, so concurrent calls on
+different inputs do not interact; a ``Generator`` passed as a seed is
+advanced by exactly four doubles per image.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ class Image:
 
     def __post_init__(self) -> None:
         px = self.pixels
+        if px.dtype.kind != "f":
+            raise ValueError(f"pixels must be a float array, got dtype {px.dtype}")
         if px.ndim != 3 or px.shape[2] not in (1, 3):
             raise ValueError(f"expected (H, W, 1|3) array, got shape {px.shape}")
         if px.shape[0] == 0 or px.shape[1] == 0:
@@ -92,11 +97,17 @@ class AugmentPolicy:
 IDENTITY_POLICY = AugmentPolicy(flip_p=0.0, max_rotation_deg=0.0, max_shift_frac=0.0)
 
 
+def _gate_dtype(img: Image) -> np.dtype:
+    """The sharpness gate's working dtype: float32 for a float32 image, else float64."""
+    return img.pixels.dtype if img.pixels.dtype == np.float32 else np.dtype(np.float64)
+
+
 def to_luminance(img: Image) -> np.ndarray:
-    """(H, W) luminance plane: 0.299 R + 0.587 G + 0.114 B for RGB input."""
+    """(H, W) luminance plane: 0.299 R + 0.587 G + 0.114 B for RGB input, with
+    float32 weights for a float32 image and float64 weights otherwise."""
     if img.channels == 1:
         return img.pixels[:, :, 0]
-    return img.pixels @ LUMA_WEIGHTS
+    return img.pixels @ LUMA_WEIGHTS.astype(_gate_dtype(img), copy=False)
 
 
 SIGMA_RULE = "must be positive and finite, with 2*sigma**2 > 0"
@@ -144,11 +155,16 @@ def _reflect_pad(buf: np.ndarray, before: int, after: int) -> np.ndarray:
 
 
 def gaussian_blur_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with reflected borders, as a strided view.  Vertical tap i
-    reads the plane reflect-padded by r, flat, at offset i*(w+2r); horizontal tap i reads
-    that pass's flat (h, w+2r) result at offset i.  Each element adds its taps from zero,
-    in order, each product made in ``np.result_type(kernel, plane)``."""
-    k = gaussian_kernel_1d(sigma)
+    """Separable Gaussian blur with reflected borders, in the plane's dtype, each product
+    made in ``np.result_type(kernel, plane)`` with the float64 kernel (see :func:`_blur`)."""
+    return _blur(plane, gaussian_kernel_1d(sigma))
+
+
+def _blur(plane: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Separable blur by the odd kernel ``k`` with reflected borders, as a strided view.
+    Vertical tap i reads the plane reflect-padded by r, flat, at offset i*(w+2r); horizontal
+    tap i reads that pass's flat (h, w+2r) result at offset i.  Each element adds its taps
+    from zero, in order, each product made in ``np.result_type(k, plane)``."""
     r = len(k) // 2
     h, w = plane.shape
     wp = w + 2 * r
@@ -184,17 +200,24 @@ def laplacian_plane(plane: np.ndarray) -> np.ndarray:
 def log_response(img: Image, sigma: float = 1.0) -> np.ndarray:
     """LoG response plane: Gaussian blur (std sigma) then the 3x3 Laplacian.
 
-    Computed in float64 regardless of the raster's storage dtype.
+    A float32 image is scored in float32 throughout: luminance, the blur
+    kernel (rounded from float64), blur and Laplacian.  Any other dtype is
+    scored in float64.
     """
-    plane = to_luminance(img).astype(np.float64, copy=False)
-    return laplacian_plane(gaussian_blur_plane(plane, sigma))
+    dtype = _gate_dtype(img)
+    plane = to_luminance(img).astype(dtype, copy=False)
+    return laplacian_plane(_blur(plane, gaussian_kernel_1d(sigma).astype(dtype, copy=False)))
 
 
 def log_sharpness(img: Image, sigma: float = 1.0, blur_threshold: float = 0.0) -> QualityScore:
-    """Sharpness score: variance of the LoG response.
+    """Sharpness score: variance of the LoG response, taken in the
+    response's dtype (float32 for a float32 image, else float64).
 
-    A constant image scores exactly 0.  The score is invariant to adding
-    a constant to all pixels and scales quadratically with pixel scale.
+    A constant image scores exactly 0, except that a float32 RGB one may
+    score rounding noise (of order 1e-14): the float32 matrix product can
+    round the luminance of equal pixels differently.  The score is
+    invariant to adding a constant to all pixels and scales quadratically
+    with pixel scale.
     """
     variance = float(np.var(log_response(img, sigma)))
     return QualityScore(log_variance=variance, blur_threshold=blur_threshold)

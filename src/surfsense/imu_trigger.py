@@ -213,11 +213,6 @@ def read_trace(fp: Iterable[str]) -> Iterator[ImuSample]:
         yield parse_trace_line(line)
 
 
-def format_trace_line(sample: ImuSample) -> str:
-    fields = (sample.t, *sample.la, *sample.aa)
-    return " ".join(f"{v:.6f}" for v in fields)
-
-
 def format_event_line(event: TriggerEvent) -> str:
     return f"{event.t:.6f} {event.kind.value}"
 

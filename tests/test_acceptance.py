@@ -32,6 +32,7 @@ from surfsense.semantics import (
 )
 from surfsense.synth import SynthSpec, synth_generate
 
+from test_classifier import relu_kink_margin
 from test_imaging import oracle_log_variance
 from test_imu_trigger import brute_force_scan, random_trace
 
@@ -180,7 +181,7 @@ def test_criterion_04_gradient_check():
     x = rng.uniform(0.05, 0.95, (2, 3, 12, 12))
     y = (np.array([1, 4]), np.array([2, 8]))
     h = 1e-4
-    assert classifier.relu_kink_margin(p, x) > 50 * h
+    assert relu_kink_margin(p, x) > 50 * h
     _, grads = classifier.loss_and_grad(p, (x, *y))
     worst = 0.0
     checked = 0

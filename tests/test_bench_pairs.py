@@ -65,20 +65,26 @@ def test_digest_mismatches_name_each_differing_seed():
     assert bench_pairs.digest_mismatches(pairs[:1] + pairs[2:3]) == []
 
 
-def test_verdict_mismatches_name_seeds_whose_exit_or_failed_count_differ():
+def test_verdict_mismatches_name_seeds_whose_exit_or_failed_share_differ():
     def pair(seed, parent, change):
+        """``parent`` and ``change`` are (exit, failed, attempted)."""
         return {
             "seed": seed,
-            "parent": {"exit": parent[0], "failed": parent[1], "digest": "a"},
-            "change": {"exit": change[0], "failed": change[1], "digest": "b"},
+            "parent": dict(zip(("exit", "failed", "attempted"), parent), digest="a"),
+            "change": dict(zip(("exit", "failed", "attempted"), change), digest="b"),
         }
 
-    pairs = [pair(30, (1, 1), (0, 0)), pair(31, (0, 0), (0, 0)), pair(38, (1, 1), (1, 2)),
-             pair(39, (1, 1), (1, 1)), pair(40, (0, 0), (1, 0))]  # fmt: skip
-    assert bench_pairs.verdict_mismatches(pairs) == [30, 38, 40]
+    pairs = [pair(30, (1, 1, 9), (0, 0, 9)), pair(31, (0, 0, 9), (0, 0, 9)),
+             pair(38, (1, 1, 9), (1, 2, 9)), pair(39, (1, 1, 9), (1, 1, 9)),
+             pair(40, (0, 0, 9), (1, 0, 9)),
+             # every unit of 121 checks fails one; the sides ran 11 and 10 units
+             # plus the cross-unit digest check (cl_update seed 1905)
+             pair(1905, (1, 11, 1332), (1, 10, 1211)),
+             # the same, but one of the change's 10 units passed
+             pair(1906, (1, 11, 1332), (1, 9, 1211))]  # fmt: skip
+    assert bench_pairs.verdict_mismatches(pairs) == [30, 38, 40, 1906]
     # digests may move while every verdict holds
     assert bench_pairs.digest_mismatches(pairs[1:2] + pairs[3:4]) == [31, 39]
-    assert bench_pairs.verdict_mismatches(pairs[1:2] + pairs[3:4]) == []
 
 
 def test_run_bench_records_each_runs_median_setup_repeat(tmp_path):

@@ -12,7 +12,6 @@ from surfsense.classifier import (
     init_params,
     load_checkpoint,
     loss_and_grad,
-    relu_kink_margin,
     save_checkpoint,
     train,
 )
@@ -34,7 +33,7 @@ def records_from_arrays(images, objects, materials):
 
 def test_parameter_count_under_100k():
     p = init_params(seed=0)
-    assert p.n_parameters() < 100_000
+    assert sum(v.size for v in p.tensors.values()) < 100_000
 
 
 def test_forward_gives_simplex_outputs():
@@ -327,6 +326,14 @@ def ref_forward_trunk(params, x):
     return a.mean(axis=(2, 3)), cache, margin
 
 
+def relu_kink_margin(params, x):
+    """Smallest |pre-activation| across all ReLUs for this input.  Finite-difference
+    gradient checks are only meaningful when the step stays well below it (no
+    activation mask flips).  The trunk matches this reference bit for bit on the
+    workload shapes and within rounding on the others (the trunk tests below)."""
+    return ref_forward_trunk(params, np.ascontiguousarray(x, dtype=params.dtype))[2]
+
+
 def ref_loss_grad(params, x, y_obj, y_mat):
     """Loss, gradients, per-sample losses, both heads' logits, and each
     depthwise layer's (dout, padded input) by weight name."""
@@ -493,14 +500,6 @@ def test_depthwise_weight_gradient_within_four_eps_of_exact_sum():
         _, dw, _ = C.depthwise3x3s2_backward(dout, planes, wt, x.shape)
         xp = np.pad(np.ascontiguousarray(x), ((0, 0), (0, 0), (1, 1), (1, 1)))
         assert dw_error_bound(dw, np.ascontiguousarray(dout), xp), (n, c, h, w)
-
-
-def test_relu_kink_margin_is_smallest_reference_preactivation():
-    p, x, _, _ = trunk_case(16, 64)
-    _, _, margin = ref_forward_trunk(p, np.ascontiguousarray(x))
-    assert relu_kink_margin(p, x) == margin
-    p, x, _, _ = grad_check_point()
-    assert relu_kink_margin(p, x) == pytest.approx(ref_forward_trunk(p, x)[2], rel=1e-9)
 
 
 # --- training ---

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from surfsense import imaging
 from surfsense.harness import DEGRADATION_COMBOS, degrade
+from surfsense.synth import SynthSpec, synth_generate
 from surfsense.imaging import (
+    LUMA_WEIGHTS,
     AugmentPolicy,
     IDENTITY_POLICY,
     Image,
@@ -75,8 +77,8 @@ def convolve_reflect_1d_reference(plane, kernel, axis):
     return out
 
 
-def gaussian_blur_plane_reference(plane, sigma):
-    k = gaussian_kernel_1d(sigma)
+def gaussian_blur_plane_reference(plane, sigma, kernel_dtype=np.float64):
+    k = gaussian_kernel_1d(sigma).astype(kernel_dtype)
     return convolve_reflect_1d_reference(convolve_reflect_1d_reference(plane, k, 0), k, 1)
 
 
@@ -91,9 +93,16 @@ def laplacian_plane_reference(plane):
     )
 
 
+def gate_dtype(img):
+    """The gate works in float32 for a float32 image and in float64 otherwise."""
+    return np.float32 if img.pixels.dtype == np.float32 else np.float64
+
+
 def log_variance_reference(img, sigma):
-    plane = to_luminance(img).astype(np.float64, copy=False)
-    return float(np.var(laplacian_plane_reference(gaussian_blur_plane_reference(plane, sigma))))
+    dtype = gate_dtype(img)
+    plane = to_luminance(img).astype(dtype, copy=False)
+    blurred = gaussian_blur_plane_reference(plane, sigma, kernel_dtype=dtype)
+    return float(np.var(laplacian_plane_reference(blurred)))
 
 
 def _assert_same_bits(got, want):
@@ -102,13 +111,21 @@ def _assert_same_bits(got, want):
 
 
 def _assert_gate_matches_reference(img, sigma):
+    dtype = gate_dtype(img)
     for c in range(img.channels):
         plane = img.pixels[:, :, c]  # a strided view for RGB
+        # the defocus degradation: float64 kernel whatever the plane's dtype
         want = gaussian_blur_plane_reference(plane, sigma)
         _assert_same_bits(imaging.gaussian_blur_plane(plane, sigma), want)
+        # the gate's blur: kernel in the gate's dtype
+        k = gaussian_kernel_1d(sigma).astype(dtype)
+        gate_plane = plane.astype(dtype, copy=False)
+        want = gaussian_blur_plane_reference(gate_plane, sigma, kernel_dtype=dtype)
+        _assert_same_bits(imaging._blur(gate_plane, k), want)
         lap = imaging.laplacian_plane(plane)
         _assert_same_bits(lap, laplacian_plane_reference(plane))
         assert lap.flags.c_contiguous  # np.var sums a strided view in another order
+    assert imaging.log_response(img, sigma).dtype == dtype
     got = log_sharpness(img, sigma).log_variance
     assert got.hex() == log_variance_reference(img, sigma).hex()
 
@@ -142,11 +159,39 @@ def test_gate_matches_np_pad_reference_at_224_px(sigma):
     texture = np.random.default_rng(224).uniform(0.0, 1.0, (224, 224, 3)).astype(np.float32)
     # With numpy 2.4, np.var of the strided Laplacian interior of the seed-9
     # bowl at sigma 1 differs in its last bit from np.var of a C-ordered copy.
-    for px in (texture, _bowl_224(9)):
-        img = Image(px)
-        _assert_gate_matches_reference(img, sigma)
-        want = np.stack([gaussian_blur_plane_reference(px[:, :, c], sigma) for c in range(3)], 2)
-        _assert_same_bits(gaussian_blur(img, sigma).pixels, np.clip(want, 0.0, 1.0))
+    for px32 in (texture, _bowl_224(9)):
+        for px in (px32, px32.astype(np.float64)):
+            img = Image(px)
+            _assert_gate_matches_reference(img, sigma)
+            want = np.stack([gaussian_blur_plane_reference(px[:, :, c], sigma) for c in range(3)], 2)
+            _assert_same_bits(gaussian_blur(img, sigma).pixels, np.clip(want, 0.0, 1.0))
+
+
+# Largest relative change of the score between a float32 render and its
+# float64 copy: 8.8e-5 over the 720 images of the benchmark's capture pools
+# (seeds 1-10); the renders below stay under 1e-4.
+GATE_FLOAT32_RTOL = 5e-4
+
+
+def test_float32_gate_keeps_every_verdict_on_224_px_renders():
+    """Sharp and blur4-defocused 224-px renders of every material, the smooth
+    fabric_lo and ceramic (which the capture gate rejects) among them, scored in
+    float32 and in float64: the scores agree within GATE_FLOAT32_RTOL and every
+    render gets one verdict at the capture threshold 1.5e-5."""
+    threshold = 1.5e-5
+    corpus = synth_generate(SynthSpec(rng_seed=5, images_per_class=1, side=224, persons=1))
+    slugs = {corpus.taxonomy.material_slug(r.material) for r in corpus.records}
+    assert {"fabric_lo", "ceramic"} <= slugs
+    verdicts = []
+    for rec in corpus.records:
+        for img in (rec.image, gaussian_blur(rec.image, 4.0)):
+            assert img.pixels.dtype == np.float32
+            s32 = log_sharpness(img).log_variance
+            s64 = log_sharpness(Image(img.pixels.astype(np.float64))).log_variance
+            assert abs(s32 - s64) <= GATE_FLOAT32_RTOL * s64
+            assert (s32 >= threshold) == (s64 >= threshold)
+            verdicts.append(s32 >= threshold)
+    assert any(verdicts) and not all(verdicts)  # the threshold splits the set
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
@@ -248,6 +293,15 @@ def test_image_rejects_nan_beside_out_of_range_as_non_finite():
     px = np.full((4, 4, 1), 0.5)
     px[0, 0, 0], px[1, 1, 0] = -2.0, np.nan
     with pytest.raises(ValueError, match="non-finite pixel values"):
+        Image(px)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int32, np.int64])
+def test_image_rejects_non_float_pixels_naming_the_dtype(dtype):
+    # ones and zeros lie in [0, 1], so only the dtype can be at fault
+    px = np.zeros((8, 8, 3), dtype=dtype)
+    px[2, 3] = 1
+    with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}"):
         Image(px)
 
 
@@ -700,3 +754,13 @@ def test_luminance_weights():
     px = np.zeros((1, 1, 3))
     px[0, 0] = [1.0, 0.0, 0.0]
     assert to_luminance(Image(px))[0, 0] == pytest.approx(0.299)
+
+
+def test_luminance_is_weighted_in_the_gates_dtype():
+    px = np.random.default_rng(4).uniform(0.0, 1.0, (6, 7, 3))
+    lum64 = to_luminance(Image(px))
+    _assert_same_bits(lum64, px @ LUMA_WEIGHTS)  # float64: the weights as they are
+    lum32 = to_luminance(Image(px.astype(np.float32)))
+    assert lum32.dtype == np.float32
+    want = px.astype(np.float32).astype(np.float64) @ LUMA_WEIGHTS
+    assert np.allclose(lum32, want, rtol=4 * np.finfo(np.float32).eps, atol=0)

@@ -14,7 +14,6 @@ from surfsense.imu_trigger import (
     TriggerEvent,
     demo_trace,
     format_event_line,
-    format_trace_line,
     ingest,
     is_sub_threshold,
     parse_trace_line,
@@ -257,6 +256,11 @@ def test_at_most_one_capture_between_moving_episodes():
             if ev is not None and ev.kind is EventKind.CAPTURE:
                 captures_since_motion += 1
                 assert captures_since_motion <= 1
+
+
+def format_trace_line(sample):
+    """One trace line in the layout ``parse_trace_line`` reads: t, then la, then aa."""
+    return " ".join(f"{v:.6f}" for v in (sample.t, *sample.la, *sample.aa))
 
 
 def test_trace_roundtrip():

@@ -14,7 +14,7 @@ its import time; each side's quartiles of it are printed under
 ``setup_s``), and per metric each side's quartiles and the number of
 pairs each side won (ties count for neither), with the verdicts that
 :func:`summarize` defines, and the seeds whose two runs differ in output
-digest or in verdict (exit status or failed count).  The file is
+digest or in verdict (exit status or failed share).  The file is
 rewritten after every pair, so a batch cut short keeps the pairs it ran.
 Standard library only.
 """
@@ -121,11 +121,16 @@ def digest_mismatches(pairs: list) -> list:
 
 
 def verdict_mismatches(pairs: list) -> list:
-    """Seeds of the pairs whose parent and change runs differ in exit status or failed count."""
-    def verdict(run: dict) -> tuple:
-        return run["exit"], run["failed"]
+    """Seeds of the pairs whose parent and change runs differ in exit status or in
+    failed share (failed / attempted).  Two shares count as equal when they are
+    closer than half of one failure in the larger run, so a seed that fails the
+    same checks in every unit keeps one verdict however many units each side ran:
+    the cross-unit digest check adds one check per run, not per unit."""
+    def differ(a: dict, b: dict) -> bool:
+        gap = abs(a["failed"] / a["attempted"] - b["failed"] / b["attempted"])
+        return a["exit"] != b["exit"] or gap >= 0.5 / max(a["attempted"], b["attempted"])
 
-    return [p["seed"] for p in pairs if verdict(p["parent"]) != verdict(p["change"])]
+    return [p["seed"] for p in pairs if differ(p["parent"], p["change"])]
 
 
 def main(argv=None) -> int:
