@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from surfsense import imaging
 from surfsense.harness import DEGRADATION_COMBOS, degrade
-from surfsense.synth import SynthSpec, synth_generate
 from surfsense.imaging import (
     LUMA_WEIGHTS,
     AugmentPolicy,
@@ -25,6 +24,7 @@ from surfsense.imaging import (
     to_luminance,
     write_ppm,
 )
+from surfsense.synth import SynthSpec, synth_generate
 
 
 def gray(h, w, value=0.5):
