@@ -541,18 +541,6 @@ def _loss_grad(
     return loss, grads, per_sample
 
 
-def loss_and_grad(params: ModelParams, batch) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean joint loss CE_object + CE_material and its full gradient.
-
-    ``batch`` is (x, y_object, y_material) with 1-based taxonomy labels.
-    """
-    x, y_obj, y_mat = batch
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    loss, grads, _ = _loss_grad(params, x, np.asarray(y_obj), np.asarray(y_mat))
-    return loss, grads
-
-
 def per_sample_losses(params: ModelParams, records: Sequence) -> np.ndarray:
     """Forward-only joint CE per record (used for replay bookkeeping)."""
     logits_o, logits_m = predict_logits(params, records)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,18 +179,6 @@ def make_split(corpus: Corpus, kind: str, k: Optional[int] = None) -> SplitPlan:
         )
 
     raise ValueError(f"unknown split kind {kind!r}")
-
-
-def check_split(corpus: Corpus, plan: SplitPlan) -> None:
-    """Assert the plan partitions the corpus with disjoint train/test folds."""
-    n = len(corpus.records)
-    covered: Set[int] = set()
-    for train, test in plan.folds:
-        if set(train) & set(test):
-            raise AssertionError("train/test overlap within a fold")
-        covered.update(test)
-    if covered != set(range(n)):
-        raise AssertionError("test folds do not partition the corpus")
 
 
 # --- manifest I/O -----------------------------------------------------------

@@ -7,8 +7,9 @@ float32 corpus stays float32 through degradation, resizing and
 augmentation.  The sharpness gate is the variance of a
 Laplacian-of-Gaussian response; blurrier images score lower.  It runs in
 float32 for a float32 image (captures, renders and PPM loads) and in
-float64 for any other dtype; the defocus degradation always weights by
-the float64 kernel.  Augmentation flips, rotates and shifts each image
+float64 for any other dtype.  The defocus degradation blurs all channels
+by two float64 matrix products with reflect-folded Gaussian band matrices
+and rounds once to the image's dtype.  Augmentation flips, rotates and shifts each image
 by four doubles drawn from its own seed and fills out-of-frame pixels by
 reflection; the gate and augmentation reflect-pad through one in-place
 helper.  The module keeps no state between calls, so concurrent calls on
@@ -154,17 +155,12 @@ def _reflect_pad(buf: np.ndarray, before: int, after: int) -> np.ndarray:
     return buf
 
 
-def gaussian_blur_plane(plane: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with reflected borders, in the plane's dtype, each product
-    made in ``np.result_type(kernel, plane)`` with the float64 kernel (see :func:`_blur`)."""
-    return _blur(plane, gaussian_kernel_1d(sigma))
-
-
 def _blur(plane: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Separable blur by the odd kernel ``k`` with reflected borders, as a strided view.
-    Vertical tap i reads the plane reflect-padded by r, flat, at offset i*(w+2r); horizontal
-    tap i reads that pass's flat (h, w+2r) result at offset i.  Each element adds its taps
-    from zero, in order, each product made in ``np.result_type(k, plane)``."""
+    """The gate's separable blur by the odd kernel ``k`` with reflected borders, as a
+    strided view.  Vertical tap i reads the plane reflect-padded by r, flat, at offset
+    i*(w+2r); horizontal tap i reads that pass's flat (h, w+2r) result at offset i.  Each
+    element adds its taps from zero, in order; the gate passes ``k`` in the plane's dtype,
+    so every product and sum is made in that dtype."""
     r = len(k) // 2
     h, w = plane.shape
     wp = w + 2 * r
@@ -223,13 +219,30 @@ def log_sharpness(img: Image, sigma: float = 1.0, blur_threshold: float = 0.0) -
     return QualityScore(log_variance=variance, blur_threshold=blur_threshold)
 
 
+def _reflect_blur_matrix(side: int, k: np.ndarray) -> np.ndarray:
+    """(side, side) float64 matrix of the blur by ``k`` (radius r) along one axis: row i
+    holds the taps summed, in order, onto the columns that
+    ``np.pad(np.arange(side), r, mode="reflect")`` maps taps i..i+2r to, so a side
+    shorter than the radius reflects as ``np.pad`` does."""
+    src = np.pad(np.arange(side), len(k) // 2, mode="reflect")
+    cols = np.lib.stride_tricks.sliding_window_view(src, len(k)) + side * np.arange(side)[:, None]
+    return np.bincount(cols.reshape(-1), np.tile(k, side), side * side).reshape(side, side)
+
+
 def gaussian_blur(img: Image, sigma: float) -> Image:
-    """Per-channel Gaussian blur (defocus degradation)."""
-    out = np.stack(
-        [gaussian_blur_plane(img.pixels[:, :, c], sigma) for c in range(img.channels)],
-        axis=2,
-    )
-    return Image(np.clip(out, 0.0, 1.0))
+    """Gaussian blur of every channel with reflected borders (defocus degradation).
+
+    Two float64 matrix products over all channels at once: the vertical
+    pass on the (H, W*C) pixels, then the horizontal pass on the (W, H*C)
+    transposed result.  The float64 result is clipped to [0, 1] and rounded
+    once to the input's dtype.
+    """
+    k = gaussian_kernel_1d(sigma)
+    h, w, c = img.pixels.shape
+    out = _reflect_blur_matrix(h, k) @ img.pixels.reshape(h, w * c)
+    out = out.reshape(h, w, c).transpose(1, 0, 2).reshape(w, h * c)
+    out = (_reflect_blur_matrix(w, k) @ out).reshape(w, h, c).transpose(1, 0, 2)
+    return Image(np.clip(out, 0.0, 1.0).astype(img.pixels.dtype, order="C"))
 
 
 def adjust_brightness(img: Image, factor: float) -> Image:
@@ -297,10 +310,13 @@ def augment_batch(
 ) -> np.ndarray:
     """Vectorized augmentation over same-sized square images.
 
-    Returns an (N, H, W, C) array (dtype follows the inputs) identical
-    to calling :func:`augment` per image with the matching seed; the
-    loop over images is fused so training batches stay cheap.  Each
-    seed gives four doubles: the flip, the angle and the two shifts.
+    Seeded augmentation of each image: horizontal flip (p), rotation,
+    shift, in that order; out-of-frame pixels are filled by reflection.
+    Returns an (N, H, W, C) array (dtype follows the inputs).  Output i
+    depends only on image i, its seed and the batch's dtype, and the same
+    seed always reproduces it bit for bit; with the identity policy an
+    image passes through unchanged.  Each seed gives four
+    doubles: the flip, the angle and the two shifts.
     The images are copied into channel planes of (N, S, S) and
     reflect-padded once for the whole batch, so the four corners of a
     bilinear sample are one flat index ``base`` into four offset views
@@ -391,18 +407,6 @@ def augment_batch(
     for i in np.nonzero(noop)[0]:
         out[i] = images[i].pixels
     return out
-
-
-def augment(img: Image, rng_seed: SeedLike, policy: AugmentPolicy = AugmentPolicy()) -> Image:
-    """Seeded augmentation: horizontal flip (p), rotation, shift, in that order.
-
-    Square input only.  The same seed always reproduces the same output
-    bit for bit.  With the identity policy the image passes through
-    unchanged; out-of-frame pixels are filled by reflection.
-    """
-    if img.height != img.width:
-        raise ValueError("augment expects a square image")
-    return Image(np.ascontiguousarray(augment_batch([img], [rng_seed], policy)[0]))
 
 
 # --- PPM (P6) / PGM (P5) --------------------------------------------------

@@ -209,12 +209,6 @@ class ValidatedPrediction:
     p_material: np.ndarray
     repaired: bool = False
 
-    @property
-    def joint_probability(self) -> float:
-        return float(
-            self.p_object[self.object_index - 1] * self.p_material[self.material_index - 1]
-        )
-
 
 def validate_and_repair(
     p_object: np.ndarray,

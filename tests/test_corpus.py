@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,20 +15,28 @@ from surfsense.corpus import (
     frame_sample,
     ingest_directory,
     make_split,
-    check_split,
     read_manifest,
     write_manifest,
 )
 from surfsense.imaging import Image, save_image, to_luminance
 from surfsense.semantics import DEFAULT_TAXONOMY
 from surfsense.synth import MaterialStyle, SynthSpec, synth_generate
-from test_imaging import reference_noise_pixels
+from test_imaging import gaussian_blur_plane_reference, reference_noise_pixels
 
 
 def tiny_spec(seed=3, per_class=6, persons=3, side=32, **kw):
     return SynthSpec(
         rng_seed=seed, images_per_class=per_class, persons=persons, side=side, **kw
     )
+
+
+def check_split(corpus, plan):
+    """Assert the plan partitions the corpus with disjoint train/test folds."""
+    covered = set()
+    for train, test in plan.folds:
+        assert not set(train) & set(test), "train/test overlap within a fold"
+        covered.update(test)
+    assert covered == set(range(len(corpus.records))), "test folds do not partition the corpus"
 
 
 def flat_image(value=0.5, side=8):
@@ -465,11 +477,76 @@ def test_corpus_pixels_match_golden_digest(name):
     assert _pixel_digest(synth_generate(spec()).records) == digest
 
 
+HARDENED_DIGEST = "7d7cb918ce862d5ed0e60ee045616ed25094edbee7fd149fbb5a0d2f26b985e1"
+
+
 def test_hardened_corpus_matches_golden_digest():
     records = synth_generate(GOLDEN_CORPORA["base_64"][0]()).records
-    assert _pixel_digest(harness.harden_records(records, 9)) == (
-        "d1fb2adf0b36ea4b0f078a39af6498c07e313c2bef5f9288f74d08bac10c6bce"
+    assert _pixel_digest(harness.harden_records(records, 9)) == HARDENED_DIGEST
+
+
+def _harden_with_blur(monkeypatch, records, blur_plane):
+    """``harden_records`` with ``gaussian_blur`` replaced by ``blur_plane`` per channel."""
+
+    def blur(img, sigma):
+        px = img.pixels
+        planes = [blur_plane(px[:, :, c], sigma) for c in range(img.channels)]
+        return Image(np.clip(np.stack(planes, 2), 0.0, 1.0).astype(px.dtype))
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "gaussian_blur", blur)
+        return harness.harden_records(records, 9)
+
+
+def test_hardened_corpus_is_within_ulps_of_per_tap_blurs(monkeypatch):
+    """The band-matrix blur against two per-tap blurs of the same set: the exact
+    one, which sums in float64 and rounds once, and the former one, which rounded
+    every partial sum to float32 and so carried up to 2.8 eps32 of error at blur4
+    (the band-matrix blur carries at most eps32 / 4)."""
+    records = synth_generate(GOLDEN_CORPORA["base_64"][0]()).records
+    new = harness.harden_records(records, 9)
+    exact = _harden_with_blur(
+        monkeypatch, records, lambda p, s: gaussian_blur_plane_reference(p.astype(np.float64), s)
     )
+    former = _harden_with_blur(monkeypatch, records, gaussian_blur_plane_reference)
+    assert _pixel_digest(former) == "d1fb2adf0b36ea4b0f078a39af6498c07e313c2bef5f9288f74d08bac10c6bce"
+    eps = np.finfo(np.float32).eps
+    for a, b, c in zip(new, exact, former):
+        assert a.image.pixels.dtype == b.image.pixels.dtype == c.image.pixels.dtype == np.float32
+        assert np.max(np.abs(a.image.pixels - b.image.pixels)) <= eps
+        assert np.max(np.abs(a.image.pixels - c.image.pixels)) <= 4 * eps
+
+
+HARDEN_DIGEST_SCRIPT = """
+import hashlib
+from surfsense import harness
+from surfsense.synth import SynthSpec, synth_generate
+
+records = synth_generate(SynthSpec(rng_seed=5, images_per_class=2, side=64, persons=2)).records
+h = hashlib.sha256()
+for rec in harness.harden_records(records, 9):
+    h.update(rec.image.pixels.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_hardened_pixels_do_not_depend_on_blas_threads():
+    """The defocus blur is a GEMM, which OpenBLAS may split over threads; the
+    hardened pixels must not depend on how many it uses (criterion 09)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", HARDEN_DIGEST_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests == [HARDENED_DIGEST, HARDENED_DIGEST]
 
 
 def test_hardened_corpus_is_float32_within_eps_of_float64_noise(monkeypatch):

@@ -12,6 +12,11 @@ from surfsense.semantics import (
 )
 
 
+def joint_probability(res):
+    """p(object) * p(material) of a validated prediction's pair."""
+    return float(res.p_object[res.object_index - 1] * res.p_material[res.material_index - 1])
+
+
 def simplex(rng, n):
     v = rng.random(n)
     return v / v.sum()
@@ -142,7 +147,7 @@ def test_repair_is_exact_argmax_over_valid_pairs():
             DEFAULT_MAPPING.valid_index_pairs(),
             key=lambda om: p_o[om[0] - 1] * p_m[om[1] - 1],
         )
-        assert res.joint_probability == pytest.approx(
+        assert joint_probability(res) == pytest.approx(
             p_o[best[0] - 1] * p_m[best[1] - 1]
         )
 
