@@ -8,13 +8,14 @@ augmentation.  The sharpness gate is the variance of a
 Laplacian-of-Gaussian response; blurrier images score lower.  It runs in
 float32 for a float32 image (captures, renders and PPM loads) and in
 float64 for any other dtype.  The defocus degradation blurs all channels
-by two float64 matrix products with reflect-folded Gaussian band matrices
-and rounds once to the image's dtype.  Augmentation flips, rotates and shifts each image
-by four doubles drawn from its own seed and fills out-of-frame pixels by
-reflection; the gate and augmentation reflect-pad through one in-place
-helper.  The module keeps no state between calls, so concurrent calls on
-different inputs do not interact; a ``Generator`` passed as a seed is
-advanced by exactly four doubles per image.
+by two float64 matrix products with reflect-folded Gaussian band
+matrices and rounds once to the image's dtype.  Augmentation flips,
+rotates and shifts each image by four doubles drawn from its own seed and
+fills out-of-frame pixels by reflection; the gate and augmentation
+reflect-pad through one in-place helper.  The module keeps no state
+between calls, so concurrent calls on different inputs do not interact;
+a ``Generator`` passed as a seed is advanced by exactly four doubles per
+image.
 """
 
 from __future__ import annotations
@@ -315,14 +316,13 @@ def augment_batch(
     Returns an (N, H, W, C) array (dtype follows the inputs).  Output i
     depends only on image i, its seed and the batch's dtype, and the same
     seed always reproduces it bit for bit; with the identity policy an
-    image passes through unchanged.  Each seed gives four
-    doubles: the flip, the angle and the two shifts.
-    The images are copied into channel planes of (N, S, S) and
-    reflect-padded once for the whole batch, so the four corners of a
-    bilinear sample are one flat index ``base`` into four offset views
-    of its plane: ``plane``, ``plane[1:]``, ``plane[S:]`` and
-    ``plane[S + 1:]``.  The array is a view of a channel-planar
-    (C, N, H, W) buffer.
+    image passes through unchanged.  Each seed gives four doubles: the
+    flip, the angle and the two shifts.  The images are copied into
+    channel planes of (N, S, S) and reflect-padded once for the whole
+    batch, so the four corners of a bilinear sample are one flat index
+    ``base`` into four offset views of its plane: ``plane``,
+    ``plane[1:]``, ``plane[S:]`` and ``plane[S + 1:]``.  The array is a
+    view of a channel-planar (C, N, H, W) buffer.
     """
     if len(rng_seeds) != len(images):
         raise ValueError(f"{len(images)} images but {len(rng_seeds)} augmentation seeds")

@@ -158,12 +158,12 @@ def assert_blur_matches_reference(img, sigma):
     ulps of :func:`blur_reference`.  Both sum in float64, in different orders: over
     3,000 random cases each came within 2.4 float64 eps of a long-double blur.  A
     float32 result is its float64 sum rounded once, within eps32 / 4 of it for
-    pixels in [0, 1]."""
+    pixels in [0, 1]; a blur that rounds its partial sums to float32 is not."""
     dtype = img.pixels.dtype
     got = gaussian_blur(img, sigma).pixels
     assert got.dtype == dtype and got.shape == img.pixels.shape
     assert got.flags.c_contiguous
-    tol = (2 if dtype == np.float32 else 8) * np.finfo(dtype).eps
+    tol = np.finfo(np.float32).eps / 2 if dtype == np.float32 else 8 * np.finfo(dtype).eps
     assert np.max(np.abs(got - blur_reference(img.pixels, sigma))) <= tol
 
 
