@@ -29,6 +29,8 @@ CHECKPOINT_MAGIC = b"SSCK"
 CHECKPOINT_VERSION = 1
 # Records per forward pass when predicting over a record list.
 PREDICT_CHUNK = 64
+# The two heads, in the order of every per-head pair, tensor and report.
+HEADS = ("object", "material")
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,6 +62,11 @@ class ModelParams:
     @property
     def dtype(self) -> np.dtype:
         return self.tensors["stem_w"].dtype
+
+    @property
+    def classes(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Both heads' class maps, in ``HEADS`` order."""
+        return self.object_classes, self.material_classes
 
     def tensor_names(self) -> List[str]:
         return list(self.tensors.keys())
@@ -154,12 +161,8 @@ def init_params(
     dtype=np.float32,
 ) -> ModelParams:
     """Seeded He-uniform initialization."""
-    if object_classes is None:
-        object_classes = range(1, n_objects + 1)
-    if material_classes is None:
-        material_classes = range(1, n_materials + 1)
-    object_classes = tuple(object_classes)
-    material_classes = tuple(material_classes)
+    given = ((object_classes, n_objects), (material_classes, n_materials))
+    classes = [tuple(range(1, n + 1) if c is None else c) for c, n in given]
 
     tensors: Dict[str, np.ndarray] = {}
     widths = (STEM_FILTERS,) + BLOCK_WIDTHS
@@ -176,11 +179,10 @@ def init_params(
         tensors[f"pw{bi + 1}_w"] = _he_uniform(rng_for(2 + 2 * bi), (cout, cin), cin, dtype)
         tensors[f"pw{bi + 1}_b"] = np.zeros(cout, dtype=dtype)
     feat = BLOCK_WIDTHS[-1]
-    tensors["head_object_w"] = _he_uniform(rng_for(7), (len(object_classes), feat), feat, dtype)
-    tensors["head_object_b"] = np.zeros(len(object_classes), dtype=dtype)
-    tensors["head_material_w"] = _he_uniform(rng_for(8), (len(material_classes), feat), feat, dtype)
-    tensors["head_material_b"] = np.zeros(len(material_classes), dtype=dtype)
-    return ModelParams(tensors, object_classes, material_classes)
+    for i, (head, units) in enumerate(zip(HEADS, map(len, classes))):
+        tensors[f"head_{head}_w"] = _he_uniform(rng_for(7 + i), (units, feat), feat, dtype)
+        tensors[f"head_{head}_b"] = np.zeros(units, dtype=dtype)
+    return ModelParams(tensors, *classes)
 
 
 # --- conv primitives (stride-2 3x3, zero padding 1) -------------------------
@@ -426,9 +428,7 @@ def _forward_trunk(params: ModelParams, x: np.ndarray, want_cache: bool):
 
 def _head_logits(params: ModelParams, feat: np.ndarray):
     t = params.tensors
-    logits_o = feat @ t["head_object_w"].T + t["head_object_b"]
-    logits_m = feat @ t["head_material_w"].T + t["head_material_b"]
-    return logits_o, logits_m
+    return tuple(feat @ t[f"head_{head}_w"].T + t[f"head_{head}_b"] for head in HEADS)
 
 
 def head_logits_batch(params: ModelParams, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -450,26 +450,20 @@ def input_batch(images: Sequence[Image], seeds=None, policy=AugmentPolicy()) -> 
 
 def forward(params: ModelParams, img: Image) -> PredictionPair:
     """Single-image inference on a view of the pixels; deterministic, simplex outputs."""
-    logits_o, logits_m = head_logits_batch(params, img.pixels.transpose(2, 0, 1)[None])
-    return PredictionPair(
-        p_object=softmax(logits_o)[0],
-        p_material=softmax(logits_m)[0],
-        object_classes=params.object_classes,
-        material_classes=params.material_classes,
-    )
+    logits = head_logits_batch(params, img.pixels.transpose(2, 0, 1)[None])
+    return PredictionPair(*(softmax(z)[0] for z in logits), *params.classes)
 
 
 def predict_logits(params: ModelParams, records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     """Both heads' raw logits over a list of records (anything with an
     ``image``), one forward pass per ``PREDICT_CHUNK`` records."""
-    logits_o = np.empty((len(records), len(params.object_classes)), dtype=params.dtype)
-    logits_m = np.empty((len(records), len(params.material_classes)), dtype=params.dtype)
+    logits = tuple(np.empty((len(records), len(c)), dtype=params.dtype) for c in params.classes)
     for start in range(0, len(records), PREDICT_CHUNK):
         chunk = records[start : start + PREDICT_CHUNK]
         x = input_batch([r.image for r in chunk])
         rows = slice(start, start + len(chunk))
-        logits_o[rows], logits_m[rows] = head_logits_batch(params, x)
-    return logits_o, logits_m
+        logits[0][rows], logits[1][rows] = head_logits_batch(params, x)
+    return logits
 
 
 def top1(classes: Tuple[int, ...], logits: np.ndarray) -> np.ndarray:
@@ -482,6 +476,11 @@ def _joint_ce(p_o: np.ndarray, p_m: np.ndarray, uo: np.ndarray, um: np.ndarray) 
     rows = np.arange(len(uo))
     eps = np.finfo(p_o.dtype).tiny
     return -np.log(np.maximum(p_o[rows, uo], eps)) - np.log(np.maximum(p_m[rows, um], eps))
+
+
+def labels(records: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """The object and the material label arrays of ``records``."""
+    return tuple(np.array([getattr(r, head) for r in records], dtype=int) for head in HEADS)
 
 
 def _unit_index(classes: Tuple[int, ...], labels: np.ndarray) -> np.ndarray:
@@ -499,29 +498,22 @@ def _loss_grad(
     n = x.shape[0]
     t = params.tensors
     feat, cache = _forward_trunk(params, x.astype(params.dtype, copy=False), want_cache=True)
-    logits_o, logits_m = _head_logits(params, feat)
-    p_o = softmax(logits_o)
-    p_m = softmax(logits_m)
-
-    uo = _unit_index(params.object_classes, y_obj)
-    um = _unit_index(params.material_classes, y_mat)
-    per_sample = _joint_ce(p_o, p_m, uo, um)
+    probs = [softmax(z) for z in _head_logits(params, feat)]
+    units = [_unit_index(c, y) for c, y in zip(params.classes, (y_obj, y_mat))]
+    per_sample = _joint_ce(*probs, *units)
     loss = float(per_sample.mean())
 
+    # Head tensors first, object before material: Adam's layout follows this order.
     grads: Dict[str, np.ndarray] = {}
-
-    dlogits_o = p_o.copy()
-    dlogits_o[np.arange(n), uo] -= 1.0
-    dlogits_o /= n
-    dlogits_m = p_m.copy()
-    dlogits_m[np.arange(n), um] -= 1.0
-    dlogits_m /= n
-
-    grads["head_object_w"] = dlogits_o.T @ feat
-    grads["head_object_b"] = dlogits_o.sum(axis=0)
-    grads["head_material_w"] = dlogits_m.T @ feat
-    grads["head_material_b"] = dlogits_m.sum(axis=0)
-    dfeat = dlogits_o @ t["head_object_w"] + dlogits_m @ t["head_material_w"]
+    dfeat = None
+    for head, p, u in zip(HEADS, probs, units):
+        dlogits = p.copy()
+        dlogits[np.arange(n), u] -= 1.0
+        dlogits /= n
+        grads[f"head_{head}_w"] = dlogits.T @ feat
+        grads[f"head_{head}_b"] = dlogits.sum(axis=0)
+        term = dlogits @ t[f"head_{head}_w"]
+        dfeat = term if dfeat is None else dfeat + term
 
     # Channel-major gradient of the last activation, broadcast over H, W.
     da = (dfeat.T / cache["gap"])[:, :, None, None]
@@ -543,10 +535,9 @@ def _loss_grad(
 
 def per_sample_losses(params: ModelParams, records: Sequence) -> np.ndarray:
     """Forward-only joint CE per record (used for replay bookkeeping)."""
-    logits_o, logits_m = predict_logits(params, records)
-    uo = _unit_index(params.object_classes, [r.object for r in records])
-    um = _unit_index(params.material_classes, [r.material for r in records])
-    return _joint_ce(softmax(logits_o), softmax(logits_m), uo, um)
+    probs = [softmax(z) for z in predict_logits(params, records)]
+    units = [_unit_index(c, y) for c, y in zip(params.classes, labels(records))]
+    return _joint_ce(*probs, *units)
 
 
 # --- optimizer and training loop -------------------------------------------
@@ -607,10 +598,7 @@ def batch_tensors(
     seeds = None
     if cfg.augment:
         seeds = [np.random.SeedSequence(seed_key + (pos,)) for pos in range(len(records))]
-    x = input_batch([r.image for r in records], seeds, cfg.policy)
-    y_obj = np.array([r.object for r in records], dtype=int)
-    y_mat = np.array([r.material for r in records], dtype=int)
-    return x, y_obj, y_mat
+    return (input_batch([r.image for r in records], seeds, cfg.policy), *labels(records))
 
 
 def train(
@@ -683,11 +671,9 @@ def predict_records(
     """Top-1 taxonomy indices for both heads over a record list: the
     argmax of each head's logits from :func:`predict_logits` after
     :func:`apply_bias`."""
-    logits_o, logits_m = predict_logits(params, records)
-    return (
-        top1(params.object_classes, apply_bias(logits_o, bias.object_head)),
-        top1(params.material_classes, apply_bias(logits_m, bias.material_head)),
-    )
+    logits = predict_logits(params, records)
+    heads = (bias.object_head, bias.material_head)
+    return tuple(top1(c, apply_bias(z, h)) for c, z, h in zip(params.classes, logits, heads))
 
 
 # --- head growth for deployment-time classes --------------------------------
@@ -699,26 +685,22 @@ def grow_heads(
     new_material_classes: Sequence[int],
     seed: int,
 ) -> ModelParams:
-    """Append He-initialized output units for newly observed classes."""
+    """Append He-initialized output units for newly observed classes; a
+    head's new rows draw from ``SeedSequence((seed, tag, units before))``
+    with tag 51 for the object head and 52 for the material head."""
     params = params.copy()
     t = params.tensors
-    feat = t["head_object_w"].shape[1]
-    dtype = params.dtype
-
-    new_obj = [c for c in new_object_classes if c not in params.object_classes]
-    new_mat = [c for c in new_material_classes if c not in params.material_classes]
-    if new_obj:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 51, len(params.object_classes))))
-        rows = _he_uniform(rng, (len(new_obj), feat), feat, dtype)
-        t["head_object_w"] = np.concatenate([t["head_object_w"], rows])
-        t["head_object_b"] = np.concatenate([t["head_object_b"], np.zeros(len(new_obj), dtype=dtype)])
-        params.object_classes = params.object_classes + tuple(new_obj)
-    if new_mat:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 52, len(params.material_classes))))
-        rows = _he_uniform(rng, (len(new_mat), feat), feat, dtype)
-        t["head_material_w"] = np.concatenate([t["head_material_w"], rows])
-        t["head_material_b"] = np.concatenate([t["head_material_b"], np.zeros(len(new_mat), dtype=dtype)])
-        params.material_classes = params.material_classes + tuple(new_mat)
+    feat, dtype = t["head_object_w"].shape[1], params.dtype
+    pairs = zip(HEADS, (51, 52), params.classes, (new_object_classes, new_material_classes))
+    for head, tag, classes, wanted in pairs:
+        new = [c for c in wanted if c not in classes]
+        if not new:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence((seed, tag, len(classes))))
+        w, b = f"head_{head}_w", f"head_{head}_b"
+        t[w] = np.concatenate([t[w], _he_uniform(rng, (len(new), feat), feat, dtype)])
+        t[b] = np.concatenate([t[b], np.zeros(len(new), dtype=dtype)])
+        setattr(params, f"{head}_classes", classes + tuple(new))
     return params
 
 
@@ -733,7 +715,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     with open(path, "wb") as fp:
         fp.write(CHECKPOINT_MAGIC)
         fp.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for classes in (params.object_classes, params.material_classes):
+        for classes in params.classes:
             fp.write(struct.pack("<I", len(classes)))
             fp.write(struct.pack(f"<{len(classes)}I", *classes))
         names = params.tensor_names()
@@ -772,7 +754,7 @@ def load_checkpoint(path, dtype=np.float32) -> ModelParams:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     maps = []
-    for head in ("object", "material"):
+    for head in HEADS:
         (n,) = unpack("<I", f"{head} class count")
         maps.append(unpack(f"<{n}I", f"{head} classes"))
     (n_tensors,) = unpack("<I", "tensor count")

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import classifier, corpus as corpus_mod, harness, imu_trigger, replay, semantics, synth
 from .classifier import TrainConfig
+from .corpus import SPLIT_KINDS
 from .imaging import SIGMA_RULE, center_crop_resize, load_image, log_sharpness, sigma_ok
 from .replay import CLConfig, CLTricks, ReplayBuffer, Task
 
@@ -50,6 +51,18 @@ def _parse_vec3(v: str) -> Tuple[float, float, float]:
     if len(parts) != 3:
         raise ValueError("expected three comma-separated values")
     return (parts[0], parts[1], parts[2])
+
+
+def _parse_absences(raw: str) -> frozenset:
+    """``3:plush,7:ceramic`` -> {(3, "plush"), (7, "ceramic")}; materials
+    are slugs of the base taxonomy that ``gen-corpus`` generates."""
+    cells = set()
+    for part in raw.split(",") if raw else []:
+        person, _, mat = part.strip().partition(":")
+        if not person.isdigit() or mat not in semantics.DEFAULT_TAXONOMY.material_slugs():
+            raise ValueError(f"bad absence cell {part!r}; expected person_id:material_slug")
+        cells.add((int(person), mat))
+    return frozenset(cells)
 
 
 def _checked(parse, ok, message: str):
@@ -85,7 +98,7 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "images_per_class": (int, 45),
     "side": (int, 64),
     "persons": (int, 12),
-    "absences": (str, ""),  # e.g. "3:plush,7:ceramic"
+    "absences": (_parse_absences, frozenset()),  # e.g. "3:plush,7:ceramic"
     # training
     "lr0": (float, 1e-4),
     "batch": (int, 16),
@@ -96,8 +109,11 @@ CONFIG_SCHEMA: Dict[str, Tuple[object, object]] = {
     "input_side": (_checked(int, lambda v: v >= 0, "must be >= 0"), 0),
     "checkpoint": (str, ""),
     # evaluation
-    "split_kind": (str, "time_kfold"),
-    "k": (int, 10),
+    "split_kind": (
+        _checked(str, lambda v: v in SPLIT_KINDS, f"must be one of {', '.join(SPLIT_KINDS)}"),
+        "time_kfold",
+    ),
+    "k": (_checked(int, lambda v: v >= 2, "must be >= 2"), 10),
     # continual learning
     "task_stream": (str, ""),
     "buffer_seed_manifest": (str, ""),  # records streamed into the buffer before task 1
@@ -223,19 +239,6 @@ def _cl_config(cfg: Dict[str, object]) -> CLConfig:
         raise ConfigError(f"bad replay setting: {exc}") from None
 
 
-def _parse_absences(raw: str) -> frozenset:
-    # "3:plush,7:ceramic" -> {(3, "plush"), (7, "ceramic")}
-    if not raw:
-        return frozenset()
-    cells = set()
-    for part in raw.split(","):
-        person, _, mat = part.strip().partition(":")
-        if not mat:
-            raise ConfigError(f"bad absence cell {part!r}; expected person:material")
-        cells.add((int(person), mat))
-    return frozenset(cells)
-
-
 def _trace_events(
     path: str, tcfg: imu_trigger.TriggerConfig
 ) -> Tuple[int, List[imu_trigger.TriggerEvent]]:
@@ -315,7 +318,7 @@ def cmd_gen_corpus(cfg: Dict[str, object], out: OutputDir) -> int:
         images_per_class=int(cfg["images_per_class"]),
         side=int(cfg["side"]),
         persons=int(cfg["persons"]),
-        absences=_parse_absences(str(cfg["absences"])),
+        absences=cfg["absences"],  # type: ignore[arg-type]
     )
     generated = synth.synth_generate(spec)
     corpus_dir = out.path("corpus")
@@ -363,18 +366,10 @@ def cmd_evaluate(cfg: Dict[str, object], out: OutputDir) -> int:
     plan = corpus_mod.make_split(data, kind, int(cfg["k"]))
     result = harness.run_protocol(data, plan, _train_config(cfg))
     tax = data.taxonomy
-    harness.write_confusion_csv(
-        result.confusion_object, out.path("confusion_object.csv"), tax.object_slugs()
-    )
-    harness.write_confusion_csv(
-        result.confusion_material, out.path("confusion_material.csv"), tax.material_slugs()
-    )
-    harness.write_counts_csv(
-        result.confusion_object, out.path("confusion_object_counts.csv"), tax.object_slugs()
-    )
-    harness.write_counts_csv(
-        result.confusion_material, out.path("confusion_material_counts.csv"), tax.material_slugs()
-    )
+    for head, names in zip(classifier.HEADS, (tax.object_slugs(), tax.material_slugs())):
+        cm = getattr(result, f"confusion_{head}")
+        harness.write_confusion_csv(cm, out.path(f"confusion_{head}.csv"), names)
+        harness.write_counts_csv(cm, out.path(f"confusion_{head}_counts.csv"), names)
     with open(out.path("folds.csv"), "w", encoding="utf-8") as fp:
         fp.write("fold,object,material\n")
         for f, (ao, am) in enumerate(zip(result.fold_acc_object, result.fold_acc_material)):
@@ -452,7 +447,10 @@ def cmd_cl_run(cfg: Dict[str, object], out: OutputDir) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     mapping = semantics.DEFAULT_MAPPING
     if args.mapping_file:
-        mapping = semantics.MappingTable.from_file(_input_file(args.mapping_file))
+        try:
+            mapping = semantics.MappingTable.from_file(_input_file(args.mapping_file))
+        except ValueError as exc:  # the message names the file and line at fault
+            raise ConfigError(str(exc)) from None
     tax = mapping.taxonomy
     try:
         obj_idx = tax.object_index(args.object)

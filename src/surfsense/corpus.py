@@ -51,11 +51,14 @@ class IngestReport:
     rejected: List[Tuple[str, str]] = field(default_factory=list)  # (path, reason)
 
 
+SPLIT_KINDS = ("time_kfold", "leave_one_person_out")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Train/test partition; folds are (train indices, test indices) into records."""
 
-    kind: str  # "time_kfold" | "leave_one_person_out"
+    kind: str  # one of SPLIT_KINDS
     folds: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
     fold_persons: Tuple[int, ...] = ()  # LOPO: test person per fold
 
@@ -215,8 +218,9 @@ def read_manifest(
     """Load the corpus a manifest lists; image paths are relative to ``root``.
 
     A line with the wrong field count, a non-numeric person, a timestamp
-    that is not a finite number, an unknown class slug, or a pair the
-    mapping table forbids raises ``ValueError`` naming ``manifest:line``.
+    that is not a finite number, an unknown class slug, a pair the
+    mapping table forbids, or an image file that does not parse raises
+    ``ValueError`` naming ``manifest:line``.
     """
     mapping = mapping if mapping is not None else DEFAULT_MAPPING
     taxonomy = taxonomy if taxonomy is not None else mapping.taxonomy
@@ -249,12 +253,16 @@ def read_manifest(
                 raise ValueError(f"{where}: unknown material {mat!r}")
             if not mapping.is_valid(obj, mat):
                 raise ValueError(f"{where}: invalid pair ({obj}, {mat})")
+            try:
+                image = load_image(root / rel)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             records.append(
                 SampleRecord(
                     person_id=person_id,
                     object=taxonomy.object_index(obj),
                     material=taxonomy.material_index(mat),
-                    image=load_image(root / rel),
+                    image=image,
                     t=t_value,
                     path=rel,
                 )

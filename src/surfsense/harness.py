@@ -10,6 +10,7 @@ does not enter that class's average.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -150,62 +151,35 @@ def run_protocol(corpus: Corpus, plan: SplitPlan, train_cfg: TrainConfig) -> Pro
     all test predictions are reported (they differ when folds are
     unequal).
     """
-    n_obj = corpus.taxonomy.n_objects
-    n_mat = corpus.taxonomy.n_materials
-    fold_acc_o: List[float] = []
-    fold_acc_m: List[float] = []
-    all_pred_o: List[np.ndarray] = []
-    all_pred_m: List[np.ndarray] = []
-    all_lab_o: List[np.ndarray] = []
-    all_lab_m: List[np.ndarray] = []
-    lopo_rows_o: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    lopo_rows_m: List[Tuple[int, np.ndarray, np.ndarray]] = []
-
+    n_classes = (corpus.taxonomy.n_objects, corpus.taxonomy.n_materials)
+    folds = []  # per fold: ((object, material) predictions, (object, material) labels)
     for f, (train_ids, test_ids) in enumerate(plan.folds):
         if len(train_ids) == 0:
             raise ValueError(f"fold {f} has an empty training set")
         train_records = [corpus.records[i] for i in train_ids]
         test_records = [corpus.records[i] for i in test_ids]
         cfg = replace(train_cfg, seed=fold_seed(train_cfg.seed, f))
-        params = classifier.init_params(
-            seed=cfg.seed, n_objects=n_obj, n_materials=n_mat, dtype=np.float32
-        )
+        params = classifier.init_params(cfg.seed, *n_classes, dtype=np.float32)
         params = classifier.train(params, train_records, cfg).params
-        pred_o, pred_m = classifier.predict_records(params, test_records)
-        lab_o = np.array([r.object for r in test_records])
-        lab_m = np.array([r.material for r in test_records])
-        fold_acc_o.append(top1_accuracy(pred_o, lab_o))
-        fold_acc_m.append(top1_accuracy(pred_m, lab_m))
-        all_pred_o.append(pred_o)
-        all_pred_m.append(pred_m)
-        all_lab_o.append(lab_o)
-        all_lab_m.append(lab_m)
-        if plan.kind == "leave_one_person_out":
-            person = plan.fold_persons[f]
-            lopo_rows_o.append((person, pred_o, lab_o))
-            lopo_rows_m.append((person, pred_m, lab_m))
+        folds.append(
+            (classifier.predict_records(params, test_records), classifier.labels(test_records))
+        )
 
-    pred_o = np.concatenate(all_pred_o)
-    pred_m = np.concatenate(all_pred_m)
-    lab_o = np.concatenate(all_lab_o)
-    lab_m = np.concatenate(all_lab_m)
-    acc_o = np.array(fold_acc_o)
-    acc_m = np.array(fold_acc_m)
-    return ProtocolResult(
-        kind=plan.kind,
-        fold_acc_object=fold_acc_o,
-        fold_acc_material=fold_acc_m,
-        mean_object=float(acc_o.mean()),
-        sd_object=float(acc_o.std(ddof=1)) if len(acc_o) > 1 else 0.0,
-        mean_material=float(acc_m.mean()),
-        sd_material=float(acc_m.std(ddof=1)) if len(acc_m) > 1 else 0.0,
-        pooled_object=top1_accuracy(pred_o, lab_o),
-        pooled_material=top1_accuracy(pred_m, lab_m),
-        confusion_object=confusion(pred_o, lab_o, n_obj),
-        confusion_material=confusion(pred_m, lab_m, n_mat),
-        lopo_object=lopo_report(lopo_rows_o, n_obj) if lopo_rows_o else None,
-        lopo_material=lopo_report(lopo_rows_m, n_mat) if lopo_rows_m else None,
-    )
+    per_head = {}
+    for h, (head, n) in enumerate(zip(classifier.HEADS, n_classes)):
+        preds, labs = [fold[0][h] for fold in folds], [fold[1][h] for fold in folds]
+        acc = [top1_accuracy(p, y) for p, y in zip(preds, labs)]
+        pred, lab = np.concatenate(preds), np.concatenate(labs)
+        lopo = None
+        if plan.kind == "leave_one_person_out":
+            lopo = lopo_report(list(zip(plan.fold_persons, preds, labs)), n)
+        per_head[f"fold_acc_{head}"] = acc
+        per_head[f"mean_{head}"] = float(np.mean(acc))
+        per_head[f"sd_{head}"] = float(np.std(acc, ddof=1)) if len(acc) > 1 else 0.0
+        per_head[f"pooled_{head}"] = top1_accuracy(pred, lab)
+        per_head[f"confusion_{head}"] = confusion(pred, lab, n)
+        per_head[f"lopo_{head}"] = lopo
+    return ProtocolResult(kind=plan.kind, **per_head)
 
 
 # --- hardened-set degradations ----------------------------------------------
@@ -272,11 +246,10 @@ def select_difficult(
 ) -> List[SampleRecord]:
     """Pick the instances a model handles worst: everything it
     misclassifies on either head, then the lowest-confidence rest."""
-    logits_o, logits_m = classifier.predict_logits(params, records)
-    pred_o = classifier.top1(params.object_classes, logits_o)
-    pred_m = classifier.top1(params.material_classes, logits_m)
-    wrong = (pred_o != [r.object for r in records]) | (pred_m != [r.material for r in records])
-    confs = classifier.softmax(logits_o).max(axis=1) * classifier.softmax(logits_m).max(axis=1)
+    logits = classifier.predict_logits(params, records)
+    heads = list(zip(params.classes, logits, classifier.labels(records)))
+    wrong = np.logical_or(*(classifier.top1(c, z) != y for c, z, y in heads))
+    confs = np.multiply(*(classifier.softmax(z).max(axis=1) for _, z, _ in heads))
     # wrong first, then ascending confidence (stable among ties)
     order = np.lexsort((confs, ~wrong))
     return [records[i] for i in order[:keep]]
@@ -308,10 +281,7 @@ class CLEvalReport:
     er_on: Dict[str, Tuple[float, float]]
 
     def delta(self, name: str) -> Tuple[float, float]:
-        return (
-            self.er_on[name][0] - self.er_off[name][0],
-            self.er_on[name][1] - self.er_off[name][1],
-        )
+        return tuple(on - off for on, off in zip(self.er_on[name], self.er_off[name]))
 
 
 def build_cl_eval(
@@ -435,8 +405,7 @@ def forgetting_experiment(
     a_train, a_test = task_a
     b_train, b_test = task_b
 
-    obj_a = sorted({r.object for r in a_train})
-    mat_a = sorted({r.material for r in a_train})
+    obj_a, mat_a = (sorted(set(y.tolist())) for y in classifier.labels(a_train))
     params0 = classifier.init_params(
         seed=init_seed, object_classes=obj_a, material_classes=mat_a, dtype=np.float32
     )
@@ -458,8 +427,7 @@ def forgetting_experiment(
     acc_b_er = replay.accuracy_pair(er.params, b_test, er.bias)[1]
 
     # Joint-training reference on A + B together.
-    obj_all = sorted({r.object for r in a_train + b_train})
-    mat_all = sorted({r.material for r in a_train + b_train})
+    obj_all, mat_all = (sorted(set(y.tolist())) for y in classifier.labels(a_train + b_train))
     joint0 = classifier.init_params(
         seed=init_seed, object_classes=obj_all, material_classes=mat_all, dtype=np.float32
     )
@@ -478,47 +446,41 @@ def forgetting_experiment(
 # --- report files ---------------------------------------------------------------
 
 
-def write_confusion_csv(cm: ConfusionMatrix, path, label_names: Sequence[str]) -> None:
-    import csv
-
+def _write_matrix_csv(path, label_names: Sequence[str], rows) -> None:
+    """A confusion CSV: the truth names as header, one row per predicted class."""
     with open(path, "w", newline="", encoding="utf-8") as fp:
         writer = csv.writer(fp)
         writer.writerow(["pred\\truth"] + list(label_names))
-        for r in range(cm.n_classes):
-            writer.writerow([label_names[r]] + [f"{v:.6f}" for v in cm.normalized[r]])
+        for r, row in enumerate(rows):
+            writer.writerow([label_names[r]] + row)
+
+
+def write_confusion_csv(cm: ConfusionMatrix, path, label_names: Sequence[str]) -> None:
+    _write_matrix_csv(path, label_names, [[f"{v:.6f}" for v in row] for row in cm.normalized])
 
 
 def write_counts_csv(cm: ConfusionMatrix, path, label_names: Sequence[str]) -> None:
-    import csv
+    _write_matrix_csv(path, label_names, [[int(v) for v in row] for row in cm.counts])
 
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["pred\\truth"] + list(label_names))
-        for r in range(cm.n_classes):
-            writer.writerow([label_names[r]] + [int(v) for v in cm.counts[r]])
+
+# Each head's LOPO block header, in ``classifier.HEADS`` order.
+_LOPO_HEADERS = (
+    "lopo object class averages (class: acc over n persons):",
+    "lopo material class averages:",
+)
 
 
 def protocol_summary(result: ProtocolResult) -> str:
-    lines = [
-        f"protocol: {result.kind}",
-        f"folds: {len(result.fold_acc_object)}",
-        f"object: mean {result.mean_object:.4f} sd {result.sd_object:.4f} "
-        f"pooled {result.pooled_object:.4f}",
-        f"material: mean {result.mean_material:.4f} sd {result.sd_material:.4f} "
-        f"pooled {result.pooled_material:.4f}",
-    ]
+    lines = [f"protocol: {result.kind}", f"folds: {len(result.fold_acc_object)}"]
+    for head in classifier.HEADS:
+        mean, sd, pooled = (getattr(result, f"{stat}_{head}") for stat in ("mean", "sd", "pooled"))
+        lines.append(f"{head}: mean {mean:.4f} sd {sd:.4f} pooled {pooled:.4f}")
     for f, (ao, am) in enumerate(zip(result.fold_acc_object, result.fold_acc_material)):
         lines.append(f"fold {f}: object {ao:.4f} material {am:.4f}")
-    if result.lopo_object is not None:
-        lines.append("lopo object class averages (class: acc over n persons):")
-        for c, avg in sorted(result.lopo_object.class_averages.items()):
-            lines.append(
-                f"  {c}: {avg:.4f} over {result.lopo_object.class_denominators[c]}"
-            )
-    if result.lopo_material is not None:
-        lines.append("lopo material class averages:")
-        for c, avg in sorted(result.lopo_material.class_averages.items()):
-            lines.append(
-                f"  {c}: {avg:.4f} over {result.lopo_material.class_denominators[c]}"
-            )
+    for head, header in zip(classifier.HEADS, _LOPO_HEADERS):
+        report = getattr(result, f"lopo_{head}")
+        if report is not None:
+            lines.append(header)
+            for c, avg in sorted(report.class_averages.items()):
+                lines.append(f"  {c}: {avg:.4f} over {report.class_denominators[c]}")
     return "\n".join(lines) + "\n"

@@ -460,8 +460,12 @@ def _read_token(fp: BinaryIO) -> bytes:
 
 
 def load_image(path) -> Image:
+    """The PPM/PGM at ``path``; a malformed file raises ``ValueError`` naming ``path``."""
     with open(path, "rb") as fp:
-        return read_ppm(fp)
+        try:
+            return read_ppm(fp)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def save_image(img: Image, path) -> None:

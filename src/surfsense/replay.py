@@ -39,6 +39,8 @@ from .corpus import SampleRecord
 from .imaging import augment_batch  # noqa: F401
 
 LOSS_EPS = 1e-3
+# The bias fit: Adam steps, their rate, and the L2 weight toward the identity.
+BIAS_FIT_STEPS, BIAS_FIT_LR, BIAS_FIT_L2 = 400, 0.05, 0.5
 SAMPLING_MODES = ("reservoir", "balanced", "loss_aware", "balanced_loss_aware")
 
 
@@ -220,27 +222,21 @@ def replay_tensors(
     x = classifier.input_batch(
         [r.image for r in records], seeds if cfg.train.augment else None, cfg.train.policy
     )
-    y_obj = np.array([r.object for r in records], dtype=int)
-    y_mat = np.array([r.material for r in records], dtype=int)
-    return x, y_obj, y_mat
+    return (x, *classifier.labels(records))
 
 
 # --- bias control ------------------------------------------------------------
 
 
 def fit_affine_on_logits(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    new_units: Sequence[int],
-    steps: int = 400,
-    lr: float = 0.05,
-    l2: float = 0.5,
+    logits: np.ndarray, labels: np.ndarray, new_units: Sequence[int]
 ) -> HeadBias:
-    """Fit (scale, offset) on cached logits by cross-entropy descent.
+    """Fit (scale, offset) on cached logits by cross-entropy descent:
+    ``BIAS_FIT_STEPS`` Adam steps of rate ``BIAS_FIT_LR`` on the two scalars.
 
     The trunk is frozen by construction: only the two scalars move.  An
-    L2 pull toward the identity correction (total weight ``l2``, spread
-    over the holdout like the per-sample loss) keeps the fit from
+    L2 pull toward the identity correction (total weight ``BIAS_FIT_L2``,
+    spread over the holdout like the per-sample loss) keeps the fit from
     drifting to unbounded-confidence optima on small holdouts.
     """
     new_units = tuple(sorted(new_units))
@@ -253,22 +249,22 @@ def fit_affine_on_logits(
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     ma, va, mb, vb = 0.0, 0.0, 0.0, 0.0
-    for t in range(1, steps + 1):
+    for t in range(1, BIAS_FIT_STEPS + 1):
         z = logits.copy()
         z[:, mask] = a * logits[:, mask] + b
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         d = (p - onehot) / n
-        ga = float((d[:, mask] * logits[:, mask]).sum()) + l2 * (a - 1.0) / n
-        gb = float(d[:, mask].sum()) + l2 * b / n
+        ga = float((d[:, mask] * logits[:, mask]).sum()) + BIAS_FIT_L2 * (a - 1.0) / n
+        gb = float(d[:, mask].sum()) + BIAS_FIT_L2 * b / n
         # Adam on two scalars.
         ma = 0.9 * ma + 0.1 * ga
         va = 0.999 * va + 0.001 * ga * ga
         mb = 0.9 * mb + 0.1 * gb
         vb = 0.999 * vb + 0.001 * gb * gb
-        a -= lr * (ma / (1 - 0.9**t)) / (np.sqrt(va / (1 - 0.999**t)) + 1e-8)
-        b -= lr * (mb / (1 - 0.9**t)) / (np.sqrt(vb / (1 - 0.999**t)) + 1e-8)
+        a -= BIAS_FIT_LR * (ma / (1 - 0.9**t)) / (np.sqrt(va / (1 - 0.999**t)) + 1e-8)
+        b -= BIAS_FIT_LR * (mb / (1 - 0.9**t)) / (np.sqrt(vb / (1 - 0.999**t)) + 1e-8)
     return HeadBias(scale=float(a), offset=float(b), new_units=new_units)
 
 
@@ -297,8 +293,8 @@ def fit_bias_correction(
     heads = []
     for logits, classes, labels, new_classes in zip(
         classifier.predict_logits(params, hold),
-        (params.object_classes, params.material_classes),
-        ([r.object for r in hold], [r.material for r in hold]),
+        params.classes,
+        classifier.labels(hold),
         (new_object_classes, new_material_classes),
     ):
         units = [i for i, c in enumerate(classes) if c in set(new_classes)]
@@ -327,11 +323,8 @@ def accuracy_pair(
     params: ModelParams, records: Sequence[SampleRecord], bias: BiasParams = BiasParams()
 ) -> Tuple[float, float]:
     """Top-1 accuracy of both heads over ``records``, predicted by :func:`predict_with_bias`."""
-    pred_o, pred_m = predict_with_bias(params, records, bias)
-    return (
-        float(np.mean(pred_o == np.array([r.object for r in records]))),
-        float(np.mean(pred_m == np.array([r.material for r in records]))),
-    )
+    preds = predict_with_bias(params, records, bias)
+    return tuple(float(np.mean(p == y)) for p, y in zip(preds, classifier.labels(records)))
 
 
 # --- the continual-learning run ----------------------------------------------
@@ -374,8 +367,7 @@ def cl_run(
     fine-tuning.
     """
     params = params.copy()
-    new_obj_classes: List[int] = []
-    new_mat_classes: List[int] = []
+    grown: Tuple[List[int], List[int]] = ([], [])  # the classes each head grew, in order
     bias = BiasParams()
     result = CLRunResult(params=params, bias=bias)
     seen_tasks: List[Task] = []
@@ -385,16 +377,14 @@ def cl_run(
             warnings.warn(f"task {task.task_id} has no training records; skipped")
             continue
         seed = task_seed(cfg.train.seed, pos)
-        grow_obj = sorted(
-            {r.object for r in task.train_records} - set(params.object_classes)
-        )
-        grow_mat = sorted(
-            {r.material for r in task.train_records} - set(params.material_classes)
-        )
-        if grow_obj or grow_mat:
-            params = classifier.grow_heads(params, grow_obj, grow_mat, seed)
-            new_obj_classes.extend(grow_obj)
-            new_mat_classes.extend(grow_mat)
+        grow = [
+            sorted(set(y.tolist()) - set(c))
+            for y, c in zip(classifier.labels(task.train_records), params.classes)
+        ]
+        if any(grow):
+            params = classifier.grow_heads(params, *grow, seed)
+            for classes, new in zip(grown, grow):
+                classes.extend(new)
 
         lr = cfg.train.lr0 * (cfg.gamma**pos if cfg.tricks.exp_lr_decay else 1.0)
         task_cfg = replace(cfg.train, seed=seed)
@@ -428,7 +418,7 @@ def cl_run(
         result.params = params
 
         if cfg.tricks.bias_control:
-            bias = fit_bias_correction(params, buf, cfg, new_obj_classes, new_mat_classes)
+            bias = fit_bias_correction(params, buf, cfg, *grown)
         result.bias = bias
 
         seen_tasks.append(task)

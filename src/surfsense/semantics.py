@@ -84,7 +84,6 @@ class LabelTaxonomy:
 
     objects: Tuple[Tuple[str, str], ...] = OBJECT_CLASSES
     materials: Tuple[Tuple[str, str], ...] = MATERIAL_CLASSES
-    tc_threshold: int = TC_THRESHOLD
 
     def __post_init__(self) -> None:
         for classes in (self.objects, self.materials):
@@ -114,20 +113,10 @@ class LabelTaxonomy:
         return self.material_slugs().index(slug) + 1
 
     def object_slug(self, index: int) -> str:
-        self._check_object(index)
-        return self.objects[index - 1][0]
+        return _slug_at(self.objects, "object", index)
 
     def material_slug(self, index: int) -> str:
-        self._check_material(index)
-        return self.materials[index - 1][0]
-
-    def _check_object(self, index: int) -> None:
-        if not 1 <= index <= self.n_objects:
-            raise IndexError(f"object index {index} out of range 1..{self.n_objects}")
-
-    def _check_material(self, index: int) -> None:
-        if not 1 <= index <= self.n_materials:
-            raise IndexError(f"material index {index} out of range 1..{self.n_materials}")
+        return _slug_at(self.materials, "material", index)
 
     def extended(
         self,
@@ -136,10 +125,15 @@ class LabelTaxonomy:
     ) -> "LabelTaxonomy":
         """Taxonomy grown with classes first seen in deployment."""
         return LabelTaxonomy(
-            objects=self.objects + tuple(new_objects),
-            materials=self.materials + tuple(new_materials),
-            tc_threshold=self.tc_threshold,
+            self.objects + tuple(new_objects), self.materials + tuple(new_materials)
         )
+
+
+def _slug_at(classes: Tuple[Tuple[str, str], ...], head: str, index: int) -> str:
+    """The slug at 1-based ``index`` of one head's class list."""
+    if not 1 <= index <= len(classes):
+        raise IndexError(f"{head} index {index} out of range 1..{len(classes)}")
+    return classes[index - 1][0]
 
 
 DEFAULT_TAXONOMY = LabelTaxonomy()
@@ -171,17 +165,22 @@ class MappingTable:
 
     @staticmethod
     def from_file(path, taxonomy: LabelTaxonomy = DEFAULT_TAXONOMY) -> "MappingTable":
-        """Override table from lines of `object_slug material_slug`."""
+        """Override table from lines of `object_slug material_slug`.  A line
+        with another field count or an unknown slug raises ``ValueError``
+        naming ``path:line``."""
         pairs = []
         with open(path, "r", encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for lineno, line in enumerate(fp, start=1):
                 parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                where = f"{path}:{lineno}"
                 if len(parts) != 2:
-                    raise ValueError(f"expected 'object material', got {line!r}")
-                pairs.append((parts[0], parts[1]))
+                    raise ValueError(f"{where}: expected 'object material', got {line.strip()!r}")
+                o, m = parts
+                if o not in taxonomy.object_slugs() or m not in taxonomy.material_slugs():
+                    raise ValueError(f"{where}: pair ({o}, {m}) names unknown classes")
+                pairs.append((o, m))
         return MappingTable(taxonomy, frozenset(pairs))
 
 

@@ -61,6 +61,10 @@ OBJECT_TINT: Dict[str, Tuple[float, float, float]] = {
 }
 
 
+# Side of the imaged patch: the image covers ~3 mm^2.
+PHYSICAL_SIDE_MM = 1.73
+
+
 def object_tint(slug: str) -> np.ndarray:
     return np.asarray(OBJECT_TINT.get(slug, (1.0, 1.0, 1.0)))
 
@@ -72,20 +76,19 @@ class SynthSpec:
     ``images_per_class`` counts images per material class in total,
     spread round-robin over the persons possessing that class.
     ``absences`` lists (person_id, material_slug) cells to leave empty,
-    mirroring households that simply lack a material.
+    mirroring households that simply lack a material.  Every image
+    covers ``PHYSICAL_SIDE_MM`` per side and renders its material with
+    the ``DEFAULT_STYLES`` entry of its slug.
     """
 
     rng_seed: int
     images_per_class: int
     side: int = 64
     persons: int = 12
-    physical_side_mm: float = 1.73  # image covers ~3 mm^2
     materials: Optional[Tuple[str, ...]] = None
     absences: FrozenSet[Tuple[int, str]] = frozenset()
     taxonomy: LabelTaxonomy = DEFAULT_MAPPING.taxonomy
     mapping: MappingTable = DEFAULT_MAPPING
-    styles: Optional[Dict[str, MaterialStyle]] = None
-    person_jitter: float = 1.0  # scales household-to-household variation
 
 
 _SAMPLES: Dict[Tuple[int, int], Tuple[np.ndarray, ...]] = {}  # (side, cells) -> _samples(...)
@@ -143,7 +146,7 @@ def _texture_field(style: MaterialStyle, spec: SynthSpec, rng: np.random.Generat
     if kind == "weave":
         # Crossed sinusoidal grating; period set by the thread count and
         # the physical size the raster represents.
-        cycles = style.thread_count * spec.physical_side_mm / 25.4
+        cycles = style.thread_count * PHYSICAL_SIDE_MM / 25.4
         px, py = rng.uniform(0, 2 * np.pi, size=2)
         warp = 0.6 * value_noise(side, 4, 4, rng)
         gx = np.sin(2 * np.pi * cycles * xs + px + warp)
@@ -243,8 +246,7 @@ def _person_assignments(
 def _person_jitter(spec: SynthSpec, mi: int, person: int) -> Tuple[np.ndarray, float]:
     """Colour jitter and brightness shared by every image of one (material, person) cell."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.rng_seed, 23, mi, person)))
-    colour = spec.person_jitter * rng.uniform(-0.035, 0.035, size=3)
-    return colour, 1.0 + spec.person_jitter * rng.uniform(-0.05, 0.05)
+    return rng.uniform(-0.035, 0.035, size=3), 1.0 + rng.uniform(-0.05, 0.05)
 
 
 def synth_generate(spec: SynthSpec) -> Corpus:
@@ -258,7 +260,6 @@ def synth_generate(spec: SynthSpec) -> Corpus:
     """
     tax = spec.taxonomy
     mapping = spec.mapping
-    styles = spec.styles if spec.styles is not None else DEFAULT_STYLES
     mat_slugs = list(spec.materials) if spec.materials is not None else tax.material_slugs()
 
     mat_objects: Dict[str, List[str]] = {}
@@ -270,7 +271,7 @@ def synth_generate(spec: SynthSpec) -> Corpus:
 
     pending: List[Tuple[int, int, int, SampleRecord]] = []  # (round j, mat order, person, record)
     for mi, m in enumerate(mat_slugs):
-        style = styles[m]
+        style = DEFAULT_STYLES[m]
         persons = _person_assignments(spec, m)
         objs = mat_objects[m]
         jitters = {p: _person_jitter(spec, mi, p) for p in set(persons)}

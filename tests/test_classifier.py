@@ -642,6 +642,39 @@ def test_grow_heads_appends_units():
     )
 
 
+def test_grow_heads_draws_each_heads_rows_from_its_own_seed():
+    p = init_params(seed=2)
+    q = grow_heads(p, [3, 7, 8], [10], seed=9)  # object 3 is not new
+    limit = np.sqrt(6.0 / 64)
+    for head, tag, n_old, n_new in (("object", 51, 6, 2), ("material", 52, 9, 1)):
+        rng = np.random.default_rng(np.random.SeedSequence((9, tag, n_old)))
+        want = rng.uniform(-limit, limit, size=(n_new, 64)).astype(np.float32)
+        w, b = q.tensors[f"head_{head}_w"], q.tensors[f"head_{head}_b"]
+        assert np.array_equal(w[:n_old], p.tensors[f"head_{head}_w"])
+        assert np.array_equal(w[n_old:], want)
+        assert w.dtype == b.dtype == np.float32
+        assert np.array_equal(b, np.concatenate([p.tensors[f"head_{head}_b"], np.zeros(n_new)]))
+    assert q.object_classes == (1, 2, 3, 4, 5, 6, 7, 8)
+    assert q.material_classes == tuple(range(1, 11))
+    assert list(q.tensors) == list(p.tensors)
+    # One head alone: the other keeps its tensors and its class map.
+    r = grow_heads(p, [], [10], seed=9)
+    assert r.object_classes == p.object_classes
+    assert np.array_equal(r.tensors["head_object_w"], p.tensors["head_object_w"])
+    assert np.array_equal(r.tensors["head_material_w"], q.tensors["head_material_w"])
+
+
+def test_loss_grad_keys_come_in_adams_layout_order():
+    p = init_params(seed=0)
+    x = np.random.default_rng(0).uniform(0, 1, (2, 3, 16, 16))
+    _, grads, _ = C._loss_grad(p, x, np.array([1, 2]), np.array([3, 4]))
+    blocks = [f"{kind}{b}_{t}" for b in (3, 2, 1) for kind in ("pw", "dw") for t in "wb"]
+    assert list(grads) == [
+        "head_object_w", "head_object_b", "head_material_w", "head_material_b",
+        *blocks, "stem_w", "stem_b",
+    ]  # fmt: skip
+
+
 def test_grown_model_predicts_taxonomy_indices():
     p = init_params(seed=0, object_classes=[1, 2], material_classes=[1, 2])
     q = grow_heads(p, [6], [9], seed=1)

@@ -461,6 +461,69 @@ def test_missing_input_file_is_a_usage_error_in_every_command(tmp_path, capsys, 
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("bed plush extra", "expected 'object material', got 'bed plush extra'"),
+        ("bed granite", "pair (bed, granite) names unknown classes"),
+    ],
+)
+def test_validate_bad_mapping_file_is_a_usage_error(tmp_path, capsys, line, message):
+    table = tmp_path / "pairs.txt"
+    table.write_text(f"bed plush\n{line}\n")
+    assert run(["validate", "bed", "plush", "--mapping-file", table]) == 2
+    assert capsys.readouterr().err == f"error: {table}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("gen-corpus", "absences", "x:plush", "bad absence cell 'x:plush'"),
+        ("gen-corpus", "absences", "3:plsh", "bad absence cell '3:plsh'"),
+        ("evaluate", "split_kind", "lopo", "must be one of time_kfold, leave_one_person_out"),
+        ("evaluate", "k", "1", "must be >= 2"),
+    ],
+)
+def test_bad_corpus_and_split_settings_name_config_and_line(
+    tmp_path, capsys, command, key, value, message
+):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.txt", out_dir=out, **{key: value})
+    assert run([command, cfg]) == 2
+    assert f"error: config: {cfg}:2: bad value for {key!r}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_absences_config_leaves_its_cells_empty(tmp_path):
+    out = tmp_path / "gen"
+    cfg = write_config(
+        tmp_path / "g.txt", out_dir=out, images_per_class=2, persons=2, side=8, seed=1,
+        absences="2:plush, 1:wood",
+    )  # fmt: skip
+    assert run(["gen-corpus", cfg]) == 0
+    cells = {tuple(line.split()[0:3:2]) for line in (out / "corpus/manifest.txt").open()}
+    assert ("1", "plush") in cells and ("2", "wood") in cells
+    assert ("2", "plush") not in cells and ("1", "wood") not in cells
+
+
+def test_truncated_image_names_its_file(tmp_path, capsys):
+    gen_out = tmp_path / "gen"
+    write_config(tmp_path / "g.txt", out_dir=gen_out, images_per_class=1, persons=1, side=8, seed=1)
+    assert run(["gen-corpus", tmp_path / "g.txt"]) == 0
+    manifest = gen_out / "corpus" / "manifest.txt"
+    first = manifest.read_text().split("\n")[0].split()[3]
+    image = gen_out / "corpus" / first
+    image.write_bytes(image.read_bytes()[:-5])
+    cfg = write_config(tmp_path / "t.txt", out_dir=tmp_path / "t", corpus_manifest=manifest)
+    capsys.readouterr()
+    assert run(["train", cfg]) == 1
+    want = f"error: runtime: ValueError: {manifest}:1: {image}: truncated raster data"
+    assert want in capsys.readouterr().err
+    cfg = write_config(tmp_path / "q.txt", out_dir=tmp_path / "q", images=image)
+    assert run(["assess-quality", cfg]) == 1
+    assert f"error: runtime: ValueError: {image}: truncated raster data" in capsys.readouterr().err
+
+
 def test_validate_missing_mapping_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "pairs.txt"
     assert run(["validate", "bed", "ceramic", "--mapping-file", missing]) == 2

@@ -354,6 +354,14 @@ def test_manifest_non_numeric_person_or_time_names_the_line(tmp_path, line):
         read_manifest(manifest, tmp_path)
 
 
+def test_manifest_truncated_image_names_the_line_and_file(tmp_path):
+    manifest = _manifest_with(tmp_path, "1 bed plush cut.ppm 0.5")
+    (tmp_path / "cut.ppm").write_bytes(b"P6\n2 2\n255\n\x00\x01")
+    match = f"^{manifest}:2: {tmp_path / 'cut.ppm'}: truncated raster data$"
+    with pytest.raises(ValueError, match=match):
+        read_manifest(manifest, tmp_path)
+
+
 def test_manifest_invalid_pair_names_the_line(tmp_path):
     # both slugs are known, but no bed is ceramic in the mapping table
     manifest = _manifest_with(tmp_path, "1 bed ceramic {rel} 0.5")

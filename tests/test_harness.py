@@ -4,13 +4,17 @@ import pytest
 from surfsense.classifier import TrainConfig, forward, init_params
 from surfsense.corpus import make_split
 from surfsense.harness import (
+    ProtocolResult,
     build_cl_eval,
     confusion,
     harden_records,
     lopo_report,
+    protocol_summary,
     run_protocol,
     select_difficult,
     top1_accuracy,
+    write_confusion_csv,
+    write_counts_csv,
 )
 from surfsense.synth import SynthSpec, synth_generate
 
@@ -212,6 +216,78 @@ def test_empty_train_fold_rejected():
     bad = SplitPlan(kind="time_kfold", folds=(((), (0, 1)),))
     with pytest.raises(ValueError):
         run_protocol(corpus, bad, small_cfg(epochs=1))
+
+
+# --- report files, pinned on a hand-built result (no training) ---
+
+
+def hand_built_lopo_result():
+    """Two LOPO folds (persons 1 and 4) over three classes per head; every
+    scalar differs between the heads, so a swapped head shows."""
+    folds_o = [
+        (1, np.array([1, 2, 3, 3]), np.array([1, 2, 3, 1])),
+        (4, np.array([2, 2, 1]), np.array([1, 2, 1])),
+    ]
+    folds_m = [
+        (1, np.array([1, 1, 2, 3]), np.array([1, 2, 2, 3])),
+        (4, np.array([3, 3, 1]), np.array([3, 1, 1])),
+    ]
+
+    def pooled(folds):
+        return (np.concatenate([p for _, p, _ in folds]), np.concatenate([y for _, _, y in folds]))
+
+    return ProtocolResult(
+        kind="leave_one_person_out",
+        fold_acc_object=[0.75, 2 / 3],
+        fold_acc_material=[0.5, 1.0],
+        mean_object=0.7083333333333333,
+        sd_object=0.05892556509887896,
+        mean_material=0.75,
+        sd_material=0.3535533905932738,
+        pooled_object=5 / 7,
+        pooled_material=4 / 7,
+        confusion_object=confusion(*pooled(folds_o), 3),
+        confusion_material=confusion(*pooled(folds_m), 3),
+        lopo_object=lopo_report(folds_o, 3),
+        lopo_material=lopo_report(folds_m, 3),
+    )
+
+
+def test_protocol_summary_text_is_pinned():
+    assert protocol_summary(hand_built_lopo_result()) == (
+        "protocol: leave_one_person_out\n"
+        "folds: 2\n"
+        "object: mean 0.7083 sd 0.0589 pooled 0.7143\n"
+        "material: mean 0.7500 sd 0.3536 pooled 0.5714\n"
+        "fold 0: object 0.7500 material 0.5000\n"
+        "fold 1: object 0.6667 material 1.0000\n"
+        "lopo object class averages (class: acc over n persons):\n"
+        "  1: 0.5000 over 2\n"
+        "  2: 1.0000 over 2\n"
+        "  3: 1.0000 over 1\n"
+        "lopo material class averages:\n"
+        "  1: 0.7500 over 2\n"
+        "  2: 0.5000 over 1\n"
+        "  3: 1.0000 over 2\n"
+    )
+
+
+def test_confusion_csv_writers_are_pinned(tmp_path):
+    result = hand_built_lopo_result()
+    write_confusion_csv(result.confusion_object, tmp_path / "n.csv", ["bed", "desk", "sofa"])
+    write_counts_csv(result.confusion_material, tmp_path / "c.csv", ["plush", "wood", "steel"])
+    assert (tmp_path / "n.csv").read_bytes() == (
+        b"pred\\truth,bed,desk,sofa\r\n"
+        b"bed,0.500000,0.000000,0.000000\r\n"
+        b"desk,0.250000,1.000000,0.000000\r\n"
+        b"sofa,0.250000,0.000000,1.000000\r\n"
+    )
+    assert (tmp_path / "c.csv").read_bytes() == (
+        b"pred\\truth,plush,wood,steel\r\n"
+        b"plush,2,1,0\r\n"
+        b"wood,0,1,0\r\n"
+        b"steel,1,0,2\r\n"
+    )
 
 
 # --- degradations ---

@@ -19,6 +19,7 @@ from surfsense.imaging import (
     gaussian_blur,
     gaussian_kernel_1d,
     log_sharpness,
+    load_image,
     read_ppm,
     to_luminance,
     write_ppm,
@@ -777,6 +778,13 @@ def test_truncated_raster_rejected():
     buf = io.BytesIO(b"P5\n2 2\n255\n\x00\x01")
     with pytest.raises(ValueError):
         read_ppm(buf)
+
+
+def test_load_image_errors_name_the_file(tmp_path):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
+    with pytest.raises(ValueError, match=f"^{path}: truncated raster data$"):
+        load_image(path)
 
 
 def test_luminance_weights():

@@ -4,6 +4,7 @@ import pytest
 from surfsense.semantics import (
     DEFAULT_MAPPING,
     DEFAULT_TAXONOMY,
+    TC_THRESHOLD,
     MappingTable,
     RecognitionFailed,
     context_lookup,
@@ -31,7 +32,7 @@ def peaked(n, idx, mass=0.9):
 def test_taxonomy_sizes():
     assert DEFAULT_TAXONOMY.n_objects == 6
     assert DEFAULT_TAXONOMY.n_materials == 9
-    assert DEFAULT_TAXONOMY.tc_threshold == 100
+    assert TC_THRESHOLD == 100
 
 
 def test_desk_wood_valid():
@@ -180,6 +181,21 @@ def test_mapping_override_rejects_unknown_names(tmp_path):
     path = tmp_path / "pairs.txt"
     path.write_text("bed granite\n")
     with pytest.raises(ValueError):
+        MappingTable.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("bed plush extra", r"expected 'object material', got 'bed plush extra'"),
+        ("bed granite", r"pair \(bed, granite\) names unknown classes"),
+        ("throne plush", r"pair \(throne, plush\) names unknown classes"),
+    ],
+)
+def test_mapping_override_errors_name_file_and_line(tmp_path, line, message):
+    path = tmp_path / "pairs.txt"
+    path.write_text(f"# custom\nbed plush\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{path}:3: {message}$"):
         MappingTable.from_file(path)
 
 
